@@ -555,3 +555,31 @@ fn serve_boots_answers_and_drains() {
         "drain banner missing from {rest:?}"
     );
 }
+
+/// The `"estimator"` field names the estimator that answered: the requested
+/// one for lr, `"unlearning"` for a forest, whose backend ignores the flag.
+#[test]
+fn explain_json_reports_the_estimator_the_backend_ran() {
+    let estimator = |model: &str| {
+        let report = run_json(&[
+            "explain",
+            "--data",
+            "german",
+            "--rows",
+            "300",
+            "--k",
+            "2",
+            "--model",
+            model,
+            "--estimator",
+            "first-order",
+            "--json",
+        ]);
+        report
+            .get("estimator")
+            .and_then(Json::as_str)
+            .map(str::to_string)
+    };
+    assert_eq!(estimator("lr").as_deref(), Some("first-order"));
+    assert_eq!(estimator("forest").as_deref(), Some("unlearning"));
+}

@@ -379,6 +379,10 @@ pub struct ExplainResponse {
     /// The explanation report, identical in content to what a cold
     /// [`Gopher`](crate::Gopher) run with the equivalent config produces.
     pub report: ExplanationReport,
+    /// Wire name of the estimator that answered, as the session's backend
+    /// reports it: the requested estimator for lr/svm/mlp, `"unlearning"`
+    /// for forests, whose backend ignores the request's estimator.
+    pub estimator: &'static str,
     /// Wall-clock time this request cost the session, including the lattice
     /// sweep when this request was the first in its batch to need it. A
     /// repeat of a cached request (or a batch peer sharing a sweep) reports
@@ -1298,6 +1302,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         ExplainResponse {
             request: req.clone(),
             report,
+            estimator: self.backend.estimator_name(req.estimator),
             query_time,
         }
     }

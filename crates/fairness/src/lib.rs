@@ -17,6 +17,10 @@
 //!   The influence machinery (Eq. 11) needs `∇θ F`, which only exists for
 //!   the smooth variant.
 //!
+//! [`bias_with`] / [`smooth_bias_with`] evaluate the same two flavors from
+//! per-test-row probabilities, for scorers that compute a modified model's
+//! predictions without materializing the model.
+//!
 //! A fourth differentiable metric, **average odds** — the mean of the TPR
 //! and FPR gaps, `½[(TPR₁−TPR₀) + (FPR₁−FPR₀)]` — extends the paper's set
 //! (it is the differentiable relative of equalized odds). Two report-only
@@ -113,8 +117,42 @@ fn average_odds(test: &Encoded, mut pred: impl FnMut(usize) -> f64) -> f64 {
 /// Groups with an empty denominator contribute a rate of 0 (documented
 /// convention; the synthetic benchmarks never trigger it).
 pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 {
+    group_gap(metric, test, |r| model.predict(test.x.row(r)))
+}
+
+/// The smooth (probability-based) bias used for gradients.
+pub fn smooth_bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 {
+    smooth_bias_with(metric, test, |r| model.predict_proba(test.x.row(r)))
+}
+
+/// The hard bias of a model known only through `proba(r)`, its
+/// favorable-class probability for test row `r`, thresholded at 0.5 as
+/// [`Model::predict`]'s default does. Equals [`bias`] for any model that
+/// keeps that default.
+pub fn bias_with(
+    metric: FairnessMetric,
+    test: &Encoded,
+    mut proba: impl FnMut(usize) -> f64,
+) -> f64 {
+    group_gap(metric, test, |r| if proba(r) >= 0.5 { 1.0 } else { 0.0 })
+}
+
+/// The smooth bias of a model known only through `proba(r)`, its
+/// favorable-class probability for test row `r`. Equals [`smooth_bias`].
+pub fn smooth_bias_with(
+    metric: FairnessMetric,
+    test: &Encoded,
+    proba: impl FnMut(usize) -> f64,
+) -> f64 {
+    group_gap(metric, test, proba)
+}
+
+/// The metric's privileged-minus-protected gap over per-row predictions
+/// `pred(r)`: hard labels for [`bias`], probabilities for [`smooth_bias`].
+/// `pred` is called once per in-scope row, in row order.
+fn group_gap(metric: FairnessMetric, test: &Encoded, mut pred: impl FnMut(usize) -> f64) -> f64 {
     match metric {
-        FairnessMetric::AverageOdds => average_odds(test, |r| model.predict(test.x.row(r))),
+        FairnessMetric::AverageOdds => average_odds(test, pred),
         FairnessMetric::StatisticalParity | FairnessMetric::EqualOpportunity => {
             // rate = Σ ŷ / count per group.
             let mut num = [0.0f64; 2];
@@ -125,7 +163,7 @@ pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 
                     continue;
                 }
                 let g = usize::from(test.privileged[r]);
-                num[g] += model.predict(test.x.row(r));
+                num[g] += pred(r);
                 den[g] += 1.0;
             }
             rate(num[1], den[1]) - rate(num[0], den[0])
@@ -135,39 +173,7 @@ pub fn bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 
             let mut num = [0.0f64; 2];
             let mut den = [0.0f64; 2];
             for r in 0..test.n_rows() {
-                let pred = model.predict(test.x.row(r));
-                let g = usize::from(test.privileged[r]);
-                num[g] += test.y[r] * pred;
-                den[g] += pred;
-            }
-            rate(num[1], den[1]) - rate(num[0], den[0])
-        }
-    }
-}
-
-/// The smooth (probability-based) bias used for gradients.
-pub fn smooth_bias<M: Model>(metric: FairnessMetric, model: &M, test: &Encoded) -> f64 {
-    match metric {
-        FairnessMetric::AverageOdds => average_odds(test, |r| model.predict_proba(test.x.row(r))),
-        FairnessMetric::StatisticalParity | FairnessMetric::EqualOpportunity => {
-            let mut num = [0.0f64; 2];
-            let mut den = [0.0f64; 2];
-            for r in 0..test.n_rows() {
-                let y = test.y[r];
-                if !row_in_scope(metric, y) {
-                    continue;
-                }
-                let g = usize::from(test.privileged[r]);
-                num[g] += model.predict_proba(test.x.row(r));
-                den[g] += 1.0;
-            }
-            rate(num[1], den[1]) - rate(num[0], den[0])
-        }
-        FairnessMetric::PredictiveParity => {
-            let mut num = [0.0f64; 2];
-            let mut den = [0.0f64; 2];
-            for r in 0..test.n_rows() {
-                let p = model.predict_proba(test.x.row(r));
+                let p = pred(r);
                 let g = usize::from(test.privileged[r]);
                 num[g] += test.y[r] * p;
                 den[g] += p;

@@ -27,7 +27,9 @@ use crate::retrain::{retrain_without, retrain_without_many};
 use gopher_data::Encoded;
 use gopher_fairness::FairnessMetric;
 use gopher_models::train::{fit_default, TrainReport};
-use gopher_models::{Differentiable, Forest, LinearSvm, LogisticRegression, Mlp, Model};
+use gopher_models::{
+    Differentiable, Forest, LinearSvm, LogisticRegression, Mlp, Model, RemovalIndex,
+};
 
 /// A per-subset responsibility scorer for one sweep: maps covered training
 /// rows to `R_F(S)`. Built once per sweep member and invoked once per
@@ -58,6 +60,11 @@ pub trait InfluenceBackend: Send + Sync {
 
     /// The influence configuration the backend was built with.
     fn config(&self) -> &InfluenceConfig;
+
+    /// Wire name of the estimator that actually answers a request asking
+    /// for `requested`: the requested one for Hessian backends,
+    /// `"unlearning"` for the unlearning backend, which ignores it.
+    fn estimator_name(&self, requested: Estimator) -> &'static str;
 
     /// Per-metric precomputation (baseline biases, and the metric gradient
     /// where the family has one). Sessions cache one per metric.
@@ -161,6 +168,10 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
         self.engine.config()
     }
 
+    fn estimator_name(&self, requested: Estimator) -> &'static str {
+        requested.name()
+    }
+
     fn precompute(&self, metric: FairnessMetric, test: &Encoded) -> BiasPrecomp {
         BiasPrecomp::compute(metric, self.engine.model(), test)
     }
@@ -203,12 +214,24 @@ impl<M: Differentiable> InfluenceBackend for HessianBackend<M> {
 
 /// Example-based influence for [`Forest`] via exact machine unlearning:
 /// a subset's responsibility is measured by *actually removing* its rows
-/// from every tree's bootstrap sample (leaf statistics updated, only
-/// affected nodes re-split) and re-evaluating the fairness metric — no
-/// gradients anywhere. The ground-truth oracle is a scratch retrain (fresh
-/// bootstraps and cutpoints on the reduced data), so the estimator/oracle
-/// gap is exactly the bootstrap resampling noise the unlearning literature
-/// measures against.
+/// from every tree's bootstrap sample and re-evaluating the fairness metric
+/// on the unlearned forest — no gradients anywhere.
+///
+/// Scoring runs on cached split histograms: each [`scorer`] call builds a
+/// [`RemovalIndex`] (bin codes, bootstrap multiplicities, a histogram per
+/// splittable node, each test row's leaf in each tree), and each candidate
+/// then subtracts only its rows' bins, re-runs the split argmax, and
+/// re-routes the affected test rows. The forest is never cloned, and the
+/// per-test-row probabilities are bit-identical to
+/// [`Forest::unlearn`]'s. That clone-and-resplit path remains the update
+/// path's unlearning step and the reference the scorer is tested against.
+///
+/// The ground-truth oracle is a scratch retrain (fresh bootstraps and
+/// cutpoints on the reduced data), so the estimator/oracle gap is exactly
+/// the bootstrap resampling noise the unlearning literature measures
+/// against.
+///
+/// [`scorer`]: InfluenceBackend::scorer
 pub struct UnlearningBackend {
     forest: Forest,
     n_train: usize,
@@ -254,6 +277,10 @@ impl InfluenceBackend for UnlearningBackend {
         &self.config
     }
 
+    fn estimator_name(&self, _requested: Estimator) -> &'static str {
+        "unlearning"
+    }
+
     /// No parameter vector means no metric gradient: `grad_f` stays empty
     /// and only the baselines are populated.
     fn precompute(&self, metric: FairnessMetric, test: &Encoded) -> BiasPrecomp {
@@ -279,17 +306,18 @@ impl InfluenceBackend for UnlearningBackend {
     ) -> SubsetScorer<'a> {
         let base_hard = precomp.base_hard;
         let base_smooth = precomp.base_smooth;
+        if base_hard.abs() < 1e-12 {
+            return Box::new(|_: &[u32]| 0.0);
+        }
+        let index = RemovalIndex::new(&self.forest, train, test);
         Box::new(move |rows: &[u32]| {
-            if base_hard.abs() < 1e-12 {
-                return 0.0;
-            }
-            let unlearned = self.forest.unlearn(train, rows);
+            let proba = index.proba_without(rows);
             let delta = match eval {
                 BiasEval::ReEvalSmooth => {
-                    gopher_fairness::smooth_bias(metric, &unlearned, test) - base_smooth
+                    gopher_fairness::smooth_bias_with(metric, test, |r| proba[r]) - base_smooth
                 }
                 BiasEval::ChainRule | BiasEval::ReEvalHard => {
-                    gopher_fairness::bias(metric, &unlearned, test) - base_hard
+                    gopher_fairness::bias_with(metric, test, |r| proba[r]) - base_hard
                 }
             };
             -delta / base_hard

@@ -40,6 +40,17 @@ pub enum Estimator {
 }
 
 impl Estimator {
+    /// Wire name, as the CLI's `--estimator` flag and the serve API's
+    /// `"estimator"` field spell it.
+    pub fn name(&self) -> &'static str {
+        match self {
+            Self::FirstOrder => "first-order",
+            Self::SecondOrder => "second-order",
+            Self::NewtonStep => "newton",
+            Self::OneStepGd { .. } => "one-step-gd",
+        }
+    }
+
     /// Short label for tables.
     pub fn label(&self) -> &'static str {
         match self {

@@ -9,15 +9,36 @@
 //! *exactly* — each node re-derives its best split from the surviving rows
 //! and rebuilds only the subtrees whose split actually changed.
 //!
+//! Splits are chosen by one histogram kernel. Training rows are binned once
+//! on the frozen cutpoints (a `u8` code per row and feature), each node's
+//! (feature × bin) label counts are summed from those codes, and the split
+//! is the argmax over the bins. Fit, [`Forest::unlearn`] and the
+//! [`RemovalIndex`] all run this kernel, so they cannot disagree.
+//!
+//! Two paths unlearn rows:
+//!
+//! * [`RemovalIndex`] is the scoring path. It caches every splittable
+//!   node's histogram, so scoring a removal subtracts only the removed rows
+//!   and re-runs the argmax; it never clones the forest. It answers each
+//!   test row's probability under the unlearned forest.
+//! * [`Forest::unlearn`] / [`Forest::unlearn_in_place`] rebuild the node
+//!   histograms from the surviving rows and return the unlearned forest.
+//!   They serve the session update path, the benchmark's replay, and the
+//!   tests, which hold the index to it bit for bit.
+//!
 //! Determinism contract: for a fixed [`ForestConfig`] (seed included) and a
 //! fixed training set, `fit` is bit-reproducible — bootstrap samples come
 //! from per-tree forks of one seeded generator, candidate thresholds are
 //! quantile cutpoints of the fit data, and the split search scans features
 //! and cutpoints in ascending order with strict-improvement tie-breaking.
-//! [`Forest::unlearn`] recomputes the *same* deterministic split function on
-//! the reduced rows, which is what makes unlearning exact rather than
-//! approximate: the result equals refitting every tree on its reduced
-//! bootstrap sample under the thresholds frozen at fit time.
+//! Unlearning recomputes the *same* deterministic split function on the
+//! reduced rows, which is what makes it exact rather than approximate: the
+//! result equals refitting every tree on its reduced bootstrap sample under
+//! the thresholds frozen at fit time.
+
+mod removal;
+
+pub use removal::RemovalIndex;
 
 use crate::train::TrainReport;
 use crate::Model;
@@ -35,8 +56,8 @@ const MIN_GAIN: f64 = 1e-12;
 pub struct ForestConfig {
     /// Number of bagged trees.
     pub n_trees: usize,
-    /// Maximum tree depth (0 = decision stumps are disallowed entirely;
-    /// 2 = the default shallow trees of up to 4 leaves).
+    /// Maximum tree depth: 0 is a single leaf, 1 is decision stumps, and
+    /// 2 (the default) is shallow trees of up to 4 leaves.
     pub max_depth: usize,
     /// Minimum bootstrap rows (with multiplicity) on each side of a split.
     pub min_leaf: usize,
@@ -86,8 +107,27 @@ struct Split {
 impl Node {
     /// Laplace-smoothed leaf probability of the favorable class.
     fn leaf_proba(&self) -> f64 {
-        (f64::from(self.pos) + 1.0) / (f64::from(self.pos + self.neg) + 2.0)
+        leaf_proba(self.pos, self.neg)
     }
+
+    /// The leaf that `x` reaches from this node.
+    fn route(&self, x: &[f64]) -> &Node {
+        let mut node = self;
+        while let Some(split) = &node.split {
+            node = if x[split.feature] <= split.threshold {
+                &split.left
+            } else {
+                &split.right
+            };
+        }
+        node
+    }
+}
+
+/// Laplace-smoothed favorable-class probability of a leaf with these label
+/// counts.
+fn leaf_proba(pos: u32, neg: u32) -> f64 {
+    (f64::from(pos) + 1.0) / (f64::from(pos + neg) + 2.0)
 }
 
 /// Everything a fitted forest owns beyond its config.
@@ -115,10 +155,15 @@ impl Forest {
     /// Creates an unfitted forest for `n_inputs` features.
     ///
     /// # Panics
-    /// If the config asks for zero trees or zero-width histograms.
+    /// If the config asks for zero trees, or for fewer than 2 or more than
+    /// 256 histogram bins (bin codes are stored as `u8`).
     pub fn new(n_inputs: usize, config: ForestConfig) -> Self {
         assert!(config.n_trees > 0, "forest needs at least one tree");
         assert!(config.n_bins >= 2, "histogram split search needs >= 2 bins");
+        assert!(
+            config.n_bins <= 256,
+            "bin codes are u8: n_bins must be <= 256"
+        );
         Self {
             n_inputs,
             config,
@@ -163,12 +208,13 @@ impl Forest {
         let n = train.n_rows();
         assert!(n > 0, "cannot fit a forest on an empty training set");
         let thresholds = quantile_thresholds(train, self.config.n_bins);
+        let binned = Binned::new(train, &thresholds);
         let mut rng = Rng::new(self.config.seed);
         let trees: Vec<Node> = (0..self.config.n_trees)
             .map(|_| {
                 let mut tree_rng = rng.fork();
                 let sample: Vec<u32> = (0..n).map(|_| tree_rng.below(n as u64) as u32).collect();
-                fit_node(train, &thresholds, sample, 0, &self.config)
+                binned.fit_node(sample, 0, &self.config)
             })
             .collect();
         self.state = Some(ForestState {
@@ -196,6 +242,9 @@ impl Forest {
     /// the thresholds frozen at fit time. Subtrees whose rows and best split
     /// are untouched are reused; only affected nodes re-split.
     ///
+    /// Scoring many removals against one forest is [`RemovalIndex`]'s job;
+    /// this copy is the reference it is held to.
+    ///
     /// `train` must be the encoded training set the forest was fit on.
     ///
     /// # Panics
@@ -209,20 +258,22 @@ impl Forest {
     /// In-place variant of [`unlearn`](Self::unlearn), for the session
     /// update path.
     pub fn unlearn_in_place(&mut self, train: &Encoded, removed: &[u32]) {
-        let state = self
+        let ForestState {
+            n_rows,
+            thresholds,
+            trees,
+        } = self
             .state
             .as_mut()
             .expect("Forest must be fit before unlearning");
-        let mut mask = vec![false; state.n_rows];
+        let mut mask = vec![false; *n_rows];
         for &r in removed {
             mask[r as usize] = true;
         }
-        let thresholds = std::mem::take(&mut state.thresholds);
-        for tree in &mut state.trees {
-            let reduced = unlearn_node(tree, &mask, train, &thresholds, 0, &self.config);
-            *tree = reduced;
+        let binned = Binned::new(train, thresholds);
+        for tree in trees {
+            *tree = binned.unlearn_node(tree, &mask, 0, &self.config);
         }
-        state.thresholds = thresholds;
     }
 
     /// Renumbers every stored row id after `removed` (sorted, deduplicated)
@@ -253,15 +304,7 @@ impl Model for Forest {
         let state = self.expect_state();
         let mut sum = 0.0;
         for tree in &state.trees {
-            let mut node = tree;
-            while let Some(split) = &node.split {
-                node = if x[split.feature] <= split.threshold {
-                    &split.left
-                } else {
-                    &split.right
-                };
-            }
-            sum += node.leaf_proba();
+            sum += tree.route(x).leaf_proba();
         }
         sum / state.trees.len() as f64
     }
@@ -317,67 +360,277 @@ fn count_labels(train: &Encoded, rows: &[u32]) -> (u32, u32) {
     (pos, neg)
 }
 
-/// The best `(feature, threshold)` over the frozen cutpoint table for these
-/// rows, or `None` when no split strictly improves purity under the
-/// `min_leaf` constraint. Pure function of `(rows, thresholds, labels)`:
-/// scans features then cutpoints in ascending order and replaces the
-/// incumbent only on strict improvement, so ties resolve to the first
-/// candidate and fit/unlearn agree bit for bit.
-fn best_split(
-    train: &Encoded,
-    thresholds: &[Vec<f64>],
-    rows: &[u32],
-    pos: u32,
-    neg: u32,
-    min_leaf: usize,
-) -> Option<(usize, f64)> {
-    let parent = sos(pos, neg);
-    let total = rows.len();
-    let mut best: Option<(usize, f64)> = None;
-    let mut best_gain = MIN_GAIN;
-    let mut pos_bins = Vec::new();
-    let mut neg_bins = Vec::new();
-    for (feature, cuts) in thresholds.iter().enumerate() {
-        if cuts.is_empty() {
-            continue;
-        }
-        // Histogram pass: bin k holds rows with cuts[k−1] < x <= cuts[k]
-        // (bin 0: x <= cuts[0]; last bin: x > every cutpoint), so the left
-        // side of a split at cuts[k] is the prefix of bins 0..=k.
-        pos_bins.clear();
-        neg_bins.clear();
-        pos_bins.resize(cuts.len() + 1, 0u32);
-        neg_bins.resize(cuts.len() + 1, 0u32);
-        for &r in rows {
-            let v = train.x.row(r as usize)[feature];
-            let bin = cuts.partition_point(|&c| c < v);
-            if train.y[r as usize] == 1.0 {
-                pos_bins[bin] += 1;
-            } else {
-                neg_bins[bin] += 1;
-            }
-        }
-        let mut pos_l = 0u32;
-        let mut neg_l = 0u32;
-        for (k, &cut) in cuts.iter().enumerate() {
-            pos_l += pos_bins[k];
-            neg_l += neg_bins[k];
-            let n_l = (pos_l + neg_l) as usize;
-            let n_r = total - n_l;
-            if n_l < min_leaf || n_r < min_leaf {
-                continue;
-            }
-            let gain = sos(pos_l, neg_l) + sos(pos - pos_l, neg - neg_l) - parent;
-            if gain > best_gain {
-                best_gain = gain;
-                best = Some((feature, cut));
-            }
-        }
-    }
-    best
+/// (feature × bin) label counts of a multiset of rows: slot
+/// `offsets[f] + bin` holds `[unfavorable, favorable]` counts.
+type Histogram = Vec<[u32; 2]>;
+
+/// Training rows binned on the frozen cutpoints: the input of the one
+/// histogram split kernel that fit, unlearning and [`RemovalIndex`] share.
+///
+/// Feature `f`'s bin `k` holds rows with `cuts[k−1] < x <= cuts[k]` (bin 0:
+/// `x <= cuts[0]`; the last bin: `x` above every cutpoint), so the left side
+/// of a split at `cuts[k]` is the prefix of bins `0..=k`.
+struct Binned<'a> {
+    train: &'a Encoded,
+    thresholds: &'a [Vec<f64>],
+    /// Feature `f`'s bins are histogram slots `offsets[f]..offsets[f + 1]`.
+    offsets: Vec<usize>,
+    /// `codes[r * d + f]`: row `r`'s bin for feature `f`.
+    codes: Vec<u8>,
 }
 
-/// Grows one node greedily from its bootstrap rows.
+impl<'a> Binned<'a> {
+    fn new(train: &'a Encoded, thresholds: &'a [Vec<f64>]) -> Self {
+        assert_eq!(
+            train.n_cols(),
+            thresholds.len(),
+            "forest input width must match the encoded data"
+        );
+        let mut offsets = Vec::with_capacity(thresholds.len() + 1);
+        offsets.push(0);
+        for cuts in thresholds {
+            offsets.push(offsets[offsets.len() - 1] + cuts.len() + 1);
+        }
+        let mut codes = Vec::with_capacity(train.n_rows() * thresholds.len());
+        for r in 0..train.n_rows() {
+            let x = train.x.row(r);
+            for (cuts, &v) in thresholds.iter().zip(x) {
+                // At most 255 cutpoints (`Forest::new` caps `n_bins`).
+                codes.push(cuts.partition_point(|&c| c < v) as u8);
+            }
+        }
+        Self {
+            train,
+            thresholds,
+            offsets,
+            codes,
+        }
+    }
+
+    /// Histogram slot of row `r`'s favorable (1) or unfavorable (0) label.
+    fn label(&self, r: u32) -> usize {
+        usize::from(self.train.y[r as usize] == 1.0)
+    }
+
+    /// Adds `copies` copies of row `r` to `hist`.
+    fn add(&self, hist: &mut [[u32; 2]], r: u32, copies: u32) {
+        let label = self.label(r);
+        let d = self.thresholds.len();
+        let codes = &self.codes[r as usize * d..(r as usize + 1) * d];
+        for (&offset, &code) in self.offsets.iter().zip(codes) {
+            hist[offset + usize::from(code)][label] += copies;
+        }
+    }
+
+    /// Removes `copies` copies of row `r` from `hist`.
+    fn sub(&self, hist: &mut [[u32; 2]], r: u32, copies: u32) {
+        let label = self.label(r);
+        let d = self.thresholds.len();
+        let codes = &self.codes[r as usize * d..(r as usize + 1) * d];
+        for (&offset, &code) in self.offsets.iter().zip(codes) {
+            hist[offset + usize::from(code)][label] -= copies;
+        }
+    }
+
+    /// The histogram of `rows` (repeated ids count once per copy).
+    fn histogram(&self, rows: &[u32]) -> Histogram {
+        let mut hist = vec![[0u32; 2]; self.offsets[self.offsets.len() - 1]];
+        for &r in rows {
+            self.add(&mut hist, r, 1);
+        }
+        hist
+    }
+
+    /// Splits a parent's histogram into its children's: the child with fewer
+    /// rows is summed from its bin codes, the other is the parent minus it.
+    fn child_histograms(
+        &self,
+        mut parent: Histogram,
+        left: &[u32],
+        right: &[u32],
+    ) -> [Histogram; 2] {
+        if left.len() <= right.len() {
+            let small = self.histogram(left);
+            subtract(&mut parent, &small);
+            [small, parent]
+        } else {
+            let small = self.histogram(right);
+            subtract(&mut parent, &small);
+            [parent, small]
+        }
+    }
+
+    /// The best `(feature, threshold)` over the frozen cutpoint table for a
+    /// node with this histogram and label counts, or `None` when no split
+    /// strictly improves purity under the `min_leaf` constraint. Pure
+    /// function of the counts: scans features then cutpoints in ascending
+    /// order and replaces the incumbent only on strict improvement, so ties
+    /// resolve to the first candidate and every caller agrees bit for bit.
+    fn best_split(
+        &self,
+        hist: &[[u32; 2]],
+        pos: u32,
+        neg: u32,
+        min_leaf: usize,
+    ) -> Option<(usize, f64)> {
+        let parent = sos(pos, neg);
+        let total = (pos + neg) as usize;
+        let mut best: Option<(usize, f64)> = None;
+        let mut best_gain = MIN_GAIN;
+        for (feature, cuts) in self.thresholds.iter().enumerate() {
+            let bins = &hist[self.offsets[feature]..self.offsets[feature + 1]];
+            let mut pos_l = 0u32;
+            let mut neg_l = 0u32;
+            for (&cut, &[neg_bin, pos_bin]) in cuts.iter().zip(bins) {
+                pos_l += pos_bin;
+                neg_l += neg_bin;
+                let n_l = (pos_l + neg_l) as usize;
+                let n_r = total - n_l;
+                if n_l < min_leaf || n_r < min_leaf {
+                    continue;
+                }
+                let gain = sos(pos_l, neg_l) + sos(pos - pos_l, neg - neg_l) - parent;
+                if gain > best_gain {
+                    best_gain = gain;
+                    best = Some((feature, cut));
+                }
+            }
+        }
+        best
+    }
+
+    /// Grows one node greedily from its bootstrap rows.
+    fn fit_node(&self, rows: Vec<u32>, depth: usize, cfg: &ForestConfig) -> Node {
+        let counts = count_labels(self.train, &rows);
+        let hist = (depth < cfg.max_depth).then(|| self.histogram(&rows));
+        self.grow(rows, hist, counts, depth, cfg)
+    }
+
+    /// Grows the subtree of a node whose rows, `(pos, neg)` label counts and
+    /// histogram are known. `hist` must be `Some` exactly when
+    /// `depth < max_depth`.
+    fn grow(
+        &self,
+        rows: Vec<u32>,
+        hist: Option<Histogram>,
+        counts: (u32, u32),
+        depth: usize,
+        cfg: &ForestConfig,
+    ) -> Node {
+        let chosen = self.choose(hist.as_deref(), counts, cfg);
+        self.grow_split(rows, hist, counts, chosen, depth, cfg)
+    }
+
+    /// The split the kernel picks for a node, if it may split at all.
+    fn choose(
+        &self,
+        hist: Option<&[[u32; 2]]>,
+        (pos, neg): (u32, u32),
+        cfg: &ForestConfig,
+    ) -> Option<(usize, f64)> {
+        hist.and_then(|h| self.best_split(h, pos, neg, cfg.min_leaf))
+    }
+
+    /// [`grow`](Self::grow) with the node's split already chosen.
+    fn grow_split(
+        &self,
+        rows: Vec<u32>,
+        hist: Option<Histogram>,
+        (pos, neg): (u32, u32),
+        chosen: Option<(usize, f64)>,
+        depth: usize,
+        cfg: &ForestConfig,
+    ) -> Node {
+        let split = chosen.map(|(feature, threshold)| {
+            let (left_rows, right_rows) = partition(self.train, &rows, feature, threshold);
+            let (left_pos, left_neg) = count_labels(self.train, &left_rows);
+            let right_counts = (pos - left_pos, neg - left_neg);
+            let [left_hist, right_hist] = match hist {
+                Some(parent) if depth + 1 < cfg.max_depth => self
+                    .child_histograms(parent, &left_rows, &right_rows)
+                    .map(Some),
+                _ => [None, None],
+            };
+            Box::new(Split {
+                feature,
+                threshold,
+                left: self.grow(left_rows, left_hist, (left_pos, left_neg), depth + 1, cfg),
+                right: self.grow(right_rows, right_hist, right_counts, depth + 1, cfg),
+            })
+        });
+        Node {
+            rows,
+            pos,
+            neg,
+            split,
+        }
+    }
+
+    /// Exact unlearning of one node: drops masked rows, re-derives the best
+    /// split on the survivors, and reuses the existing structure when the
+    /// split is unchanged (recursing only into children) — otherwise
+    /// regrows the subtree. Postcondition: the returned node is exactly
+    /// `fit_node(survivors, depth)`.
+    fn unlearn_node(&self, node: &Node, mask: &[bool], depth: usize, cfg: &ForestConfig) -> Node {
+        let kept: Vec<u32> = node
+            .rows
+            .iter()
+            .copied()
+            .filter(|&r| !mask[r as usize])
+            .collect();
+        if kept.len() == node.rows.len() {
+            // No removed row reached this node: the whole subtree is untouched.
+            return node.clone();
+        }
+        let (pos, neg) = count_labels(self.train, &kept);
+        let hist = (depth < cfg.max_depth).then(|| self.histogram(&kept));
+        let chosen = self.choose(hist.as_deref(), (pos, neg), cfg);
+        if !same_split(node.split.as_deref(), chosen) {
+            // The split flipped (changed, appeared, or vanished): regrow.
+            return self.grow_split(kept, hist, (pos, neg), chosen, depth, cfg);
+        }
+        let split = node.split.as_ref().map(|old| {
+            // Same split, same partition function: the children's surviving
+            // rows are exactly their old rows minus the mask — recurse.
+            Box::new(Split {
+                feature: old.feature,
+                threshold: old.threshold,
+                left: self.unlearn_node(&old.left, mask, depth + 1, cfg),
+                right: self.unlearn_node(&old.right, mask, depth + 1, cfg),
+            })
+        });
+        Node {
+            rows: kept,
+            pos,
+            neg,
+            split,
+        }
+    }
+}
+
+/// `hist -= other`, slot by slot.
+fn subtract(hist: &mut [[u32; 2]], other: &[[u32; 2]]) {
+    for (h, o) in hist.iter_mut().zip(other) {
+        h[0] -= o[0];
+        h[1] -= o[1];
+    }
+}
+
+/// Whether a node's existing split is the one the kernel chose: same
+/// feature and bit-identical threshold, or no split on either side.
+fn same_split(old: Option<&Split>, chosen: Option<(usize, f64)>) -> bool {
+    match (old, chosen) {
+        (Some(old), Some((feature, threshold))) => {
+            old.feature == feature && old.threshold.to_bits() == threshold.to_bits()
+        }
+        (None, None) => true,
+        _ => false,
+    }
+}
+
+/// Grows one node greedily from its bootstrap rows, binning `train` afresh:
+/// the reference the unit tests compare unlearning against.
+#[cfg(test)]
 fn fit_node(
     train: &Encoded,
     thresholds: &[Vec<f64>],
@@ -385,25 +638,7 @@ fn fit_node(
     depth: usize,
     cfg: &ForestConfig,
 ) -> Node {
-    let (pos, neg) = count_labels(train, &rows);
-    let chosen = (depth < cfg.max_depth)
-        .then(|| best_split(train, thresholds, &rows, pos, neg, cfg.min_leaf))
-        .flatten();
-    let split = chosen.map(|(feature, threshold)| {
-        let (left_rows, right_rows) = partition(train, &rows, feature, threshold);
-        Box::new(Split {
-            feature,
-            threshold,
-            left: fit_node(train, thresholds, left_rows, depth + 1, cfg),
-            right: fit_node(train, thresholds, right_rows, depth + 1, cfg),
-        })
-    });
-    Node {
-        rows,
-        pos,
-        neg,
-        split,
-    }
+    Binned::new(train, thresholds).fit_node(rows, depth, cfg)
 }
 
 /// Order-preserving partition of `rows` by `x[feature] <= threshold`.
@@ -423,62 +658,6 @@ fn partition(
         }
     }
     (left, right)
-}
-
-/// Exact unlearning of one node: drops masked rows, re-derives the best
-/// split on the survivors, and reuses the existing structure when the split
-/// is unchanged (recursing only into children) — otherwise regrows the
-/// subtree with [`fit_node`]. Postcondition: the returned node is exactly
-/// `fit_node(survivors, depth)`.
-fn unlearn_node(
-    node: &Node,
-    mask: &[bool],
-    train: &Encoded,
-    thresholds: &[Vec<f64>],
-    depth: usize,
-    cfg: &ForestConfig,
-) -> Node {
-    let kept: Vec<u32> = node
-        .rows
-        .iter()
-        .copied()
-        .filter(|&r| !mask[r as usize])
-        .collect();
-    if kept.len() == node.rows.len() {
-        // No removed row reached this node: the whole subtree is untouched.
-        return node.clone();
-    }
-    let (pos, neg) = count_labels(train, &kept);
-    let chosen = (depth < cfg.max_depth)
-        .then(|| best_split(train, thresholds, &kept, pos, neg, cfg.min_leaf))
-        .flatten();
-    let same = match (&node.split, chosen) {
-        (Some(old), Some((feature, threshold))) => {
-            old.feature == feature && old.threshold.to_bits() == threshold.to_bits()
-        }
-        (None, None) => true,
-        _ => false,
-    };
-    if !same {
-        // The split flipped (changed, appeared, or vanished): regrow.
-        return fit_node(train, thresholds, kept, depth, cfg);
-    }
-    let split = node.split.as_ref().map(|old| {
-        // Same split, same partition function: the children's surviving rows
-        // are exactly their old rows minus the mask — recurse.
-        Box::new(Split {
-            feature: old.feature,
-            threshold: old.threshold,
-            left: unlearn_node(&old.left, mask, train, thresholds, depth + 1, cfg),
-            right: unlearn_node(&old.right, mask, train, thresholds, depth + 1, cfg),
-        })
-    });
-    Node {
-        rows: kept,
-        pos,
-        neg,
-        split,
-    }
 }
 
 fn remap_node(node: &mut Node, removed_sorted: &[u32]) {

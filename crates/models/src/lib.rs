@@ -28,7 +28,7 @@ mod mlp;
 mod svm;
 pub mod train;
 
-pub use forest::{Forest, ForestConfig};
+pub use forest::{Forest, ForestConfig, RemovalIndex};
 pub use logistic::LogisticRegression;
 pub use mlp::Mlp;
 pub use svm::LinearSvm;

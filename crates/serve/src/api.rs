@@ -22,7 +22,8 @@ pub fn parse_metric(name: &str) -> Result<FairnessMetric, String> {
     }
 }
 
-/// Parses an estimator name; `learning_rate` feeds the one-step-GD variant.
+/// Parses an estimator name (inverse of [`Estimator::name`]);
+/// `learning_rate` feeds the one-step-GD variant.
 pub fn parse_estimator(name: &str, learning_rate: f64) -> Result<Estimator, String> {
     match name {
         "first-order" | "fo" => Ok(Estimator::FirstOrder),
@@ -40,16 +41,6 @@ pub fn parse_bias_eval(name: &str) -> Result<BiasEval, String> {
         "re-eval-smooth" => Ok(BiasEval::ReEvalSmooth),
         "re-eval-hard" => Ok(BiasEval::ReEvalHard),
         other => Err(format!("unknown bias_eval `{other}`")),
-    }
-}
-
-/// Wire name of an estimator (inverse of [`parse_estimator`]).
-pub fn estimator_name(e: Estimator) -> &'static str {
-    match e {
-        Estimator::FirstOrder => "first-order",
-        Estimator::SecondOrder => "second-order",
-        Estimator::NewtonStep => "newton",
-        Estimator::OneStepGd { .. } => "one-step-gd",
     }
 }
 
@@ -183,7 +174,7 @@ pub fn explain_response_json(response: &ExplainResponse) -> Json {
         .collect();
     Json::obj([
         ("metric", Json::str(report.metric.name())),
-        ("estimator", Json::str(estimator_name(request.estimator))),
+        ("estimator", Json::str(response.estimator)),
         ("base_bias", Json::num(report.base_bias)),
         ("accuracy", Json::num(report.accuracy)),
         ("k", Json::num(request.k as f64)),

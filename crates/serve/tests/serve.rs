@@ -539,3 +539,33 @@ fn registry_eviction_under_live_traffic_never_panics() {
     server.trigger_shutdown();
     server.join();
 }
+
+/// Explain answers name the estimator the session's backend ran: the
+/// requested one for lr, `"unlearning"` for a forest session.
+#[test]
+fn explain_answers_report_the_estimator_the_backend_ran() {
+    let (server, addr) = start(ServeConfig::default());
+    for (model, want) in [("lr", "second-order"), ("forest", "unlearning")] {
+        let config = format!(
+            r#"{{"name":"{model}", "generator":"german", "rows":300, "seed":7, "model":"{model}"}}"#
+        );
+        let created = request_once(addr, "POST", "/sessions", Some(&config)).unwrap();
+        assert_eq!(created.status, 201, "{}", created.body);
+        let answer = request_once(
+            addr,
+            "POST",
+            &format!("/sessions/{model}/explain"),
+            Some(r#"{"metric":"statistical-parity", "k":2, "estimator":"second-order"}"#),
+        )
+        .unwrap();
+        assert_eq!(answer.status, 200, "{}", answer.body);
+        assert_eq!(
+            parse(&answer.body).get("estimator").and_then(Json::as_str),
+            Some(want),
+            "{model}: {}",
+            answer.body
+        );
+    }
+    server.trigger_shutdown();
+    server.join();
+}
