@@ -323,6 +323,51 @@ fn explain_reads_csv_datasets() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// A numeric CSV column of ±1e308 overflows plain standardization; the
+/// explain must still succeed and report finite numbers throughout.
+#[test]
+fn explain_survives_extreme_magnitude_csv_columns() {
+    let dir = std::env::temp_dir().join(format!("gopher-extreme-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let csv_path = dir.join("extreme.csv");
+    let mut csv = String::from("group,income,hours,approved\n");
+    for i in 0..300 {
+        let group = if i % 3 == 0 { "a" } else { "b" };
+        let income = if i % 2 == 0 { "1e308" } else { "-1e308" };
+        let approved = u8::from((i * 5) % 7 < if group == "a" { 4 } else { 3 });
+        csv.push_str(&format!(
+            "{group},{income},{},{approved}\n",
+            20 + (i * 7) % 40
+        ));
+    }
+    std::fs::write(&csv_path, csv).unwrap();
+
+    let report = run_json(&[
+        "explain",
+        "--csv",
+        csv_path.to_str().unwrap(),
+        "--label",
+        "approved",
+        "--protected",
+        "group=a",
+        "--json",
+    ]);
+    let finite = |v: &Json, key: &str| {
+        let x = v.get(key).and_then(Json::as_f64);
+        assert!(x.is_some_and(f64::is_finite), "{key} must be finite: {x:?}");
+    };
+    finite(&report, "base_bias");
+    finite(&report, "accuracy");
+    let explanations = report.get("explanations").and_then(Json::as_arr).unwrap();
+    assert!(!explanations.is_empty());
+    for e in explanations {
+        for key in ["est_responsibility", "interestingness", "support"] {
+            finite(e, key);
+        }
+    }
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn usage_errors_exit_with_code_2() {
     let out = gopher(&["explain", "--data", "nonexistent"]);

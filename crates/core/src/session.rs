@@ -1719,6 +1719,12 @@ mod tests {
         fn accumulate_hessian(&self, x: &[f64], y: f64, out: &mut gopher_linalg::Matrix) {
             self.inner.accumulate_hessian(x, y, out);
         }
+        fn hessian_rank_one(&self, x: &[f64], y: f64, aug: &mut [f64]) -> Option<f64> {
+            self.inner.hessian_rank_one(x, y, aug)
+        }
+        fn accumulate_rank_one_vector(&self, x: &[f64], y: f64, scale: f64, out: &mut [f64]) {
+            self.inner.accumulate_rank_one_vector(x, y, scale, out);
+        }
     }
 
     impl ModelFamily for PanickyModel {

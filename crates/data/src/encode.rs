@@ -174,6 +174,29 @@ impl Encoded {
     }
 }
 
+/// Mean and standard deviation (floored at `MIN_STD`) of a numeric column.
+///
+/// Columns near the `f64` range (say ±1e308) overflow the plain sums to
+/// ±inf, and standardizing by them gives NaN. Their statistics are computed
+/// on the column divided by its largest magnitude and scaled back, which
+/// keeps them finite; every other column keeps the plain arithmetic.
+fn column_stats(vals: &[f64]) -> (f64, f64) {
+    use gopher_linalg::vecops::{mean, variance};
+    let (m, var) = (mean(vals), variance(vals));
+    if m.is_finite() && var.is_finite() {
+        return (m, var.sqrt().max(MIN_STD));
+    }
+    let scale = vals.iter().fold(0.0f64, |acc, v| acc.max(v.abs()));
+    if !scale.is_finite() || scale == 0.0 {
+        return (m, var.sqrt().max(MIN_STD));
+    }
+    let scaled: Vec<f64> = vals.iter().map(|v| v / scale).collect();
+    (
+        mean(&scaled) * scale,
+        (variance(&scaled).sqrt() * scale).max(MIN_STD),
+    )
+}
+
 impl Encoder {
     /// Fits the encoder on training data: records one-hot blocks for
     /// categorical features and mean/std/min/max for numeric features.
@@ -192,8 +215,7 @@ impl Encoder {
                 }
                 FeatureKind::Numeric => {
                     let vals = train.column(f_idx).as_numeric();
-                    let mean = gopher_linalg::vecops::mean(vals);
-                    let std = gopher_linalg::vecops::variance(vals).sqrt().max(MIN_STD);
+                    let (mean, std) = column_stats(vals);
                     let (mut lo, mut hi) = (f64::INFINITY, f64::NEG_INFINITY);
                     for &v in vals {
                         let z = (v - mean) / std;
@@ -409,6 +431,66 @@ mod tests {
         // Labels and privilege flow through.
         assert_eq!(e.y, vec![0.0, 1.0, 1.0, 0.0]);
         assert_eq!(e.privileged, vec![false, false, true, true]);
+    }
+
+    fn with_age(ages: Vec<f64>) -> Dataset {
+        let n = ages.len();
+        let d = toy();
+        Dataset::new(
+            d.schema().clone(),
+            vec![
+                Column::Categorical((0..n).map(|r| (r % 3) as u32).collect()),
+                Column::Numeric(ages),
+            ],
+            (0..n).map(|r| (r % 2) as u8).collect(),
+            ProtectedSpec {
+                feature: 1,
+                privileged: PrivilegedIf::AtLeast(0.0),
+            },
+        )
+    }
+
+    /// A column of ±1e308 overflows the plain mean and variance; the
+    /// encoder must still standardize it to finite values.
+    #[test]
+    fn extreme_magnitude_columns_standardize_to_finite_values() {
+        for ages in [
+            vec![1e308, -1e308, 1e308, -1e308],
+            vec![1e308, 1e308, 1e308, -1e308, 5.0],
+            vec![1e308; 4],
+        ] {
+            let d = with_age(ages.clone());
+            let enc = Encoder::fit(&d);
+            let e = enc.transform(&d);
+            for r in 0..e.n_rows() {
+                assert!(
+                    e.x[(r, 3)].is_finite(),
+                    "{ages:?}: row {r} -> {}",
+                    e.x[(r, 3)]
+                );
+            }
+            let EncodedGroup::Numeric { lo, hi, .. } = enc.layout().groups()[1] else {
+                unreachable!()
+            };
+            assert!(lo.is_finite() && hi.is_finite() && lo <= hi, "{ages:?}");
+        }
+        // Alternating ±1e308 standardizes to exactly ±1.
+        let e =
+            Encoder::fit(&with_age(vec![1e308, -1e308])).transform(&with_age(vec![1e308, -1e308]));
+        assert_eq!((e.x[(0, 3)], e.x[(1, 3)]), (1.0, -1.0));
+    }
+
+    /// Columns whose plain statistics are finite keep them bit for bit.
+    #[test]
+    fn finite_columns_keep_the_plain_statistics() {
+        let ages = vec![20.0, 30.5, 41.25, 1e150, -7.0];
+        let enc = Encoder::fit(&with_age(ages.clone()));
+        let EncodedGroup::Numeric { mean, std, .. } = enc.layout().groups()[1] else {
+            unreachable!()
+        };
+        assert_eq!(mean.to_bits(), gopher_linalg::vecops::mean(&ages).to_bits());
+        let plain = gopher_linalg::vecops::variance(&ages).sqrt().max(MIN_STD);
+        assert_eq!(std.to_bits(), plain.to_bits());
     }
 
     #[test]

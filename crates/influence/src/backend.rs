@@ -14,12 +14,15 @@
 //! backend and its default training procedure — the two facts a session
 //! builder needs that `Model` alone cannot provide.
 //!
-//! **Bit-identity contract**: for lr/svm/mlp, every path through
-//! [`HessianBackend`] is a pure delegation to the exact code the session
-//! called before the trait existed — same `BiasInfluence` construction per
-//! sweep, same warm-started retrains, same engine delta — so explanations
-//! are bit-identical through the trait (pinned by the
-//! `influence_backend` integration tests).
+//! **Bit-identity contract**: for lr/svm/mlp, [`HessianBackend`]'s scorer
+//! is a [`BiasInfluence`] built per sweep from the cached precomputation, so
+//! it equals the direct `BiasInfluence` API bit for bit, for every
+//! estimator and evaluation mode (pinned by the `influence_backend`
+//! integration tests and the unit tests here). Ground truth and updates
+//! delegate to the same retrains and engine delta. Chain-rule scores of the
+//! projected estimators (first order, second order, one-step GD) agree with
+//! `bias_change_from_delta(&param_change(..), ChainRule)` to within 1e-12,
+//! not bit for bit: the projection sums in a different order.
 
 use crate::bias::{BiasEval, BiasInfluence, BiasPrecomp};
 use crate::engine::{EngineUpdateReport, Estimator, InfluenceConfig, InfluenceEngine};
@@ -445,34 +448,141 @@ mod tests {
         (enc.transform(&train_raw), enc.transform(&test_raw))
     }
 
+    fn hessian_backend<M: ModelFamily<Backend = HessianBackend<M>> + Differentiable>(
+        mut model: M,
+        train: &Encoded,
+    ) -> HessianBackend<M> {
+        ModelFamily::fit(&mut model, train);
+        InfluenceBackend::build(model, train, InfluenceConfig::default())
+    }
+
+    const PROJECTED: [Estimator; 3] = [
+        Estimator::FirstOrder,
+        Estimator::SecondOrder,
+        Estimator::OneStepGd { learning_rate: 0.5 },
+    ];
+
     /// The refactor-identity pin at the unit level: the backend's scorer is
     /// the exact same arithmetic as a hand-built `BiasInfluence`.
     #[test]
     fn hessian_scorer_is_bit_identical_to_direct_bias_influence() {
+        fn check<M: ModelFamily<Backend = HessianBackend<M>> + Differentiable>(
+            backend: &HessianBackend<M>,
+            train: &Encoded,
+            test: &Encoded,
+        ) {
+            for metric in FairnessMetric::EXTENDED {
+                let precomp = backend.precompute(metric, test);
+                for estimator in PROJECTED {
+                    let bi = BiasInfluence::from_precomp(
+                        backend.engine(),
+                        metric,
+                        test,
+                        precomp.clone(),
+                    );
+                    let scorer = backend.scorer(
+                        train,
+                        test,
+                        metric,
+                        precomp.clone(),
+                        estimator,
+                        BiasEval::ChainRule,
+                    );
+                    for rows in [
+                        (0..30u32).collect::<Vec<u32>>(),
+                        (100..140).collect(),
+                        vec![7, 9, 11],
+                        vec![],
+                    ] {
+                        let direct =
+                            bi.responsibility(train, &rows, estimator, BiasEval::ChainRule);
+                        assert_eq!(
+                            scorer(&rows).to_bits(),
+                            direct.to_bits(),
+                            "{metric:?} {} on {} rows",
+                            estimator.label(),
+                            rows.len()
+                        );
+                    }
+                }
+            }
+        }
         let (train, test) = split(600, 21);
-        let mut model = LogisticRegression::new(train.n_cols(), 1e-3);
-        ModelFamily::fit(&mut model, &train);
-        let backend: HessianBackend<LogisticRegression> =
-            InfluenceBackend::build(model, &train, InfluenceConfig::default());
+        let lr = hessian_backend(LogisticRegression::new(train.n_cols(), 1e-3), &train);
+        check(&lr, &train, &test);
+        let svm = hessian_backend(LinearSvm::new(train.n_cols(), 1e-3), &train);
+        check(&svm, &train, &test);
+    }
+
+    /// The projected chain rule against its oracle: the parameter change of
+    /// the same estimator, pushed through `∇F` by a dot product.
+    #[test]
+    fn projected_chain_rule_matches_param_change_oracle() {
+        fn check<M: ModelFamily<Backend = HessianBackend<M>> + Differentiable>(
+            backend: &HessianBackend<M>,
+            train: &Encoded,
+            test: &Encoded,
+        ) {
+            let n = train.n_rows();
+            let mut rng = Rng::new(5);
+            // 0.1% to 90% of the rows, random and contiguous.
+            let subsets: Vec<Vec<u32>> = [0.001, 0.01, 0.1, 0.3, 0.6, 0.9]
+                .iter()
+                .flat_map(|&frac| {
+                    let m = ((n as f64 * frac) as usize).max(1);
+                    let mut random: Vec<u32> = rng
+                        .sample_indices(n, m)
+                        .into_iter()
+                        .map(|r| r as u32)
+                        .collect();
+                    random.sort_unstable();
+                    [random, (0..m as u32).collect()]
+                })
+                .collect();
+            for metric in FairnessMetric::EXTENDED {
+                let bi = BiasInfluence::new(backend.engine(), metric, test);
+                let base = bi.base_bias();
+                assert!(base.abs() > 1e-12, "{metric:?} has no baseline bias");
+                for estimator in PROJECTED {
+                    for rows in &subsets {
+                        let projected =
+                            bi.responsibility(train, rows, estimator, BiasEval::ChainRule);
+                        let delta = backend.engine().param_change(train, rows, estimator);
+                        let oracle = -bi.bias_change_from_delta(&delta, BiasEval::ChainRule) / base;
+                        assert!(
+                            (projected - oracle).abs() <= 1e-12,
+                            "{metric:?} {} on {} rows: projected {projected} vs oracle {oracle}",
+                            estimator.label(),
+                            rows.len()
+                        );
+                    }
+                }
+            }
+        }
+        let (train, test) = split(2000, 37);
+        let lr = hessian_backend(LogisticRegression::new(train.n_cols(), 1e-3), &train);
+        check(&lr, &train, &test);
+        let svm = hessian_backend(LinearSvm::new(train.n_cols(), 1e-3), &train);
+        check(&svm, &train, &test);
+    }
+
+    /// Without a rank-one Hessian, second order keeps the `param_change`
+    /// path bit for bit.
+    #[test]
+    fn mlp_second_order_is_param_change_bit_for_bit() {
+        let (train, test) = split(200, 41);
+        let mut rng = Rng::new(3);
+        let model = Mlp::new(train.n_cols(), 3, 1e-3, &mut rng);
+        let backend = hessian_backend(model, &train);
         let metric = FairnessMetric::StatisticalParity;
-        let precomp = backend.precompute(metric, &test);
-        let bi = BiasInfluence::from_precomp(backend.engine(), metric, &test, precomp.clone());
-        let scorer = backend.scorer(
-            &train,
-            &test,
-            metric,
-            precomp,
-            Estimator::SecondOrder,
-            BiasEval::ChainRule,
-        );
-        for rows in [
-            (0..30u32).collect::<Vec<u32>>(),
-            (100..140).collect(),
-            vec![7, 9, 11],
-        ] {
-            let direct =
-                bi.responsibility(&train, &rows, Estimator::SecondOrder, BiasEval::ChainRule);
-            assert_eq!(scorer(&rows).to_bits(), direct.to_bits());
+        let bi = BiasInfluence::new(backend.engine(), metric, &test);
+        for rows in [(0..20u32).collect::<Vec<u32>>(), vec![5, 50, 120], vec![]] {
+            let delta = backend
+                .engine()
+                .param_change(&train, &rows, Estimator::SecondOrder);
+            let oracle = bi.bias_change_from_delta(&delta, BiasEval::ChainRule);
+            let direct = bi.bias_change(&train, &rows, Estimator::SecondOrder, BiasEval::ChainRule);
+            assert_eq!(direct.to_bits(), oracle.to_bits(), "{} rows", rows.len());
         }
     }
 

@@ -5,6 +5,7 @@ use gopher_data::Encoded;
 use gopher_fairness::FairnessMetric;
 use gopher_linalg::vecops;
 use gopher_models::Differentiable;
+use std::sync::OnceLock;
 
 /// How to turn an estimated parameter change into an estimated bias change.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -48,9 +49,37 @@ impl BiasPrecomp {
 
 /// Influence queries specialized to one fairness metric and test set.
 ///
-/// Precomputes the bias gradient `∇θF(θ*, D_test)` and the baseline bias so
-/// each query costs one parameter-change estimate plus a dot product (chain
-/// rule) or one metric evaluation (re-eval modes).
+/// Precomputes the bias gradient `∇θF(θ*, D_test)` and the baseline bias.
+/// The re-evaluation modes, and the chain rule under
+/// [`Estimator::NewtonStep`], cost one
+/// [`param_change`](InfluenceEngine::param_change) per query plus a metric
+/// evaluation or a dot product.
+///
+/// # Projected chain rule
+///
+/// Every other estimator is linear in the subset's gradient sum, so under
+/// [`BiasEval::ChainRule`] `∇F` is pushed through `H⁻¹` once instead of
+/// solving for a full `Δθ` per query (Koh & Liang's `s_test`, applied to
+/// group influence). On the first such query the handle computes
+/// `a = H⁻¹∇F` (one Cholesky solve) and three per-row scalars, each
+/// `O(n p)`: `φ_r = a·g_r`, `ψ_r = ∇F·g_r` and `γ_r = w_r (x̃_r·a)`, where
+/// `∇²L_r = w_r x̃_r x̃_rᵀ` is the rank-one Hessian of
+/// [`Differentiable::hessian_rank_one`]. A subset `S` of `m` rows (with
+/// `λ' = λ + damping`) then scores as
+///
+/// * first order: `ΔF = Σ_S φ_r / n` — `m` scalar adds;
+/// * one-step GD: `ΔF = −η(∇F·ḡ − Σ_S ψ_r / n)`, with `ḡ` the engine's
+///   cached mean gradient — `m` scalar adds;
+/// * second order: `ΔF = (Σ_S φ_r + mλ' a·θ*)/n + (b_S·d₁)/n + (m/n)λ'(a·d₁)`,
+///   with `b_S = Σ_S γ_r x̃_r` and `g_S` from one fused pass over the rows
+///   and `d₁ = H⁻¹g̃_S / n` from one solve — `O(m p + p²)`, and no model
+///   evaluation per row.
+///
+/// These equal `bias_change_from_delta(&param_change(..), ChainRule)` up to
+/// rounding (the summation order differs; pinned to 1e-12 by the oracle
+/// tests). An empty subset scores 0, as `param_change` does. Families
+/// without a rank-one Hessian (the MLP) answer second order through
+/// `param_change`.
 pub struct BiasInfluence<'a, M: Differentiable> {
     engine: &'a InfluenceEngine<M>,
     metric: FairnessMetric,
@@ -58,6 +87,115 @@ pub struct BiasInfluence<'a, M: Differentiable> {
     grad_f: Vec<f64>,
     base_hard: f64,
     base_smooth: f64,
+    /// Built on the first projected chain-rule query.
+    projection: OnceLock<Projection>,
+}
+
+/// The per-handle state of the projected chain rule (see [`BiasInfluence`]).
+struct Projection {
+    /// `a = H⁻¹∇F`.
+    a: Vec<f64>,
+    /// `a·θ*`.
+    a_theta: f64,
+    /// `∇F·ḡ`.
+    grad_f_mean: f64,
+    /// `φ_r = a·g_r` per training row.
+    phi: Vec<f64>,
+    /// `ψ_r = ∇F·g_r` per training row.
+    psi: Vec<f64>,
+    /// `γ_r = w_r (x̃_r·a)` per training row; `None` when the family has no
+    /// rank-one Hessian.
+    gamma: Option<Vec<f64>>,
+}
+
+impl Projection {
+    fn new<M: Differentiable>(
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        grad_f: &[f64],
+    ) -> Self {
+        let model = engine.model();
+        let n = engine.n_train();
+        let a = engine.factor().solve(grad_f);
+        let phi = (0..n)
+            .map(|r| vecops::dot(&a, engine.row_gradient(r)))
+            .collect();
+        let psi = (0..n)
+            .map(|r| vecops::dot(grad_f, engine.row_gradient(r)))
+            .collect();
+        let mut aug = vec![0.0; a.len()];
+        let gamma = (0..n)
+            .map(|r| {
+                let w = model.hessian_rank_one(train.x.row(r), train.y[r], &mut aug)?;
+                Some(if w == 0.0 {
+                    0.0
+                } else {
+                    w * vecops::dot(&aug, &a)
+                })
+            })
+            .collect();
+        Self {
+            a_theta: vecops::dot(&a, model.params()),
+            grad_f_mean: vecops::dot(grad_f, engine.mean_gradient()),
+            a,
+            phi,
+            psi,
+            gamma,
+        }
+    }
+
+    /// `ΔF` of removing `rows`, or `None` when `estimator` is not projected
+    /// for this family.
+    fn bias_change<M: Differentiable>(
+        &self,
+        engine: &InfluenceEngine<M>,
+        train: &Encoded,
+        rows: &[u32],
+        estimator: Estimator,
+    ) -> Option<f64> {
+        let n = engine.n_train() as f64;
+        let sum = |v: &[f64]| rows.iter().map(|&r| v[r as usize]).sum::<f64>();
+        match (estimator, self.gamma.as_deref()) {
+            (Estimator::NewtonStep, _) | (Estimator::SecondOrder, None) => None,
+            _ if rows.is_empty() => Some(0.0),
+            (Estimator::FirstOrder, _) => Some(sum(&self.phi) / n),
+            (Estimator::OneStepGd { learning_rate }, _) => {
+                Some(-learning_rate * (self.grad_f_mean - sum(&self.psi) / n))
+            }
+            (Estimator::SecondOrder, Some(gamma)) => {
+                let model = engine.model();
+                let p = self.a.len();
+                let m = rows.len() as f64;
+                let l2 = model.l2() + engine.damping_used();
+                // One fused pass: g_S, b_S and Σφ.
+                let mut g = vec![0.0; p];
+                let mut b = vec![0.0; p];
+                let mut phi_sum = 0.0;
+                for &r in rows {
+                    let r = r as usize;
+                    vecops::axpy(1.0, engine.row_gradient(r), &mut g);
+                    phi_sum += self.phi[r];
+                    if gamma[r] != 0.0 {
+                        model.accumulate_rank_one_vector(
+                            train.x.row(r),
+                            train.y[r],
+                            gamma[r],
+                            &mut b,
+                        );
+                    }
+                }
+                // d₁ = H⁻¹ g̃_S / n, with g̃_S = g_S + mλ'θ*.
+                vecops::axpy(m * l2, model.params(), &mut g);
+                let mut d1 = engine.factor().solve(&g);
+                vecops::scale(1.0 / n, &mut d1);
+                Some(
+                    (phi_sum + m * l2 * self.a_theta) / n
+                        + vecops::dot(&b, &d1) / n
+                        + m / n * l2 * vecops::dot(&self.a, &d1),
+                )
+            }
+        }
+    }
 }
 
 impl<'a, M: Differentiable> BiasInfluence<'a, M> {
@@ -84,6 +222,7 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
             grad_f: precomp.grad_f,
             base_hard: precomp.base_hard,
             base_smooth: precomp.base_smooth,
+            projection: OnceLock::new(),
         }
     }
 
@@ -108,7 +247,11 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
     }
 
     /// Estimated bias change `ΔF ≈ F(θ̄_S) − F(θ*)` if the given training
-    /// rows were removed.
+    /// rows were removed. `train` must be the engine's training set.
+    ///
+    /// Chain-rule queries take the projected path described on
+    /// [`BiasInfluence`] where the estimator allows it; everything else goes
+    /// through [`InfluenceEngine::param_change`].
     pub fn bias_change(
         &self,
         train: &Encoded,
@@ -116,6 +259,14 @@ impl<'a, M: Differentiable> BiasInfluence<'a, M> {
         estimator: Estimator,
         eval: BiasEval,
     ) -> f64 {
+        if eval == BiasEval::ChainRule && estimator != Estimator::NewtonStep {
+            let projection = self
+                .projection
+                .get_or_init(|| Projection::new(self.engine, train, &self.grad_f));
+            if let Some(delta_f) = projection.bias_change(self.engine, train, rows, estimator) {
+                return delta_f;
+            }
+        }
         let delta = self.engine.param_change(train, rows, estimator);
         self.bias_change_from_delta(&delta, eval)
     }

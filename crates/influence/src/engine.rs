@@ -121,6 +121,9 @@ pub struct InfluenceEngine<M: Differentiable> {
     model: M,
     /// Per-example data-term gradients at θ*, one row per training example.
     grads: Matrix,
+    /// Mean data gradient `ḡ = (1/n) Σ ∇L(zᵢ, θ*)`, kept in step with
+    /// `grads`.
+    mean_grad: Vec<f64>,
     /// Damped full Hessian `H = (1/n) Σ ∇²L + λI + damping·I`.
     hessian: Matrix,
     chol: Cholesky,
@@ -190,9 +193,11 @@ impl<M: Differentiable> InfluenceEngine<M> {
         hessian.add_diagonal(damping_used);
 
         let hessian_theta = model.params().to_vec();
+        let mean_grad = mean_rows(&grads);
         Self {
             model,
             grads,
+            mean_grad,
             hessian,
             chol,
             damping_used,
@@ -209,8 +214,8 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// 1. patches its damped mean Hessian exactly at the current parameters
     ///    (`S_new = S_old − Σ h_removed + Σ h_added`, `O(|Δ| p²)`),
     /// 2. patches the Cholesky factor with one rank-1 update/downdate per
-    ///    delta row (via [`Model::hessian_rank_one`]) and verifies it against
-    ///    the patched Hessian with a residual probe,
+    ///    delta row (via [`Differentiable::hessian_rank_one`]) and verifies
+    ///    it against the patched Hessian with a residual probe,
     /// 3. warm-retrains by quasi-Newton steps through the patched factor
     ///    until the true gradient norm on `new_train` meets the Newton
     ///    trainer's tolerance, and
@@ -426,6 +431,7 @@ impl<M: Differentiable> InfluenceEngine<M> {
             converged: true,
         };
         self.model = model;
+        self.mean_grad = mean_rows(&grads);
         self.grads = grads;
         self.hessian = hessian_new;
         self.chol = chol;
@@ -481,6 +487,12 @@ impl<M: Differentiable> InfluenceEngine<M> {
     /// The precomputed per-example gradient of training row `r`.
     pub fn row_gradient(&self, r: usize) -> &[f64] {
         self.grads.row(r)
+    }
+
+    /// The mean data gradient `ḡ = (1/n) Σ ∇L(zᵢ, θ*)` (`−λθ*` at the
+    /// optimum), summed once at build and after each update.
+    pub fn mean_gradient(&self) -> &[f64] {
+        &self.mean_grad
     }
 
     /// `g_S = Σ_{z∈S} ∇L(z, θ*)` for the given training rows.
@@ -595,16 +607,11 @@ impl<M: Differentiable> InfluenceEngine<M> {
             Estimator::OneStepGd { learning_rate } => {
                 // Paper Eq. 13: θ̄ = θ − η(∇L(D, θ*) − (1/n) g_S), where
                 // ∇L(D, θ*) is the mean data gradient (−λθ* at the optimum).
-                let mut mean_grad = vec![0.0; p];
-                for r in 0..self.n {
-                    vecops::axpy(1.0, self.grads.row(r), &mut mean_grad);
-                }
-                vecops::scale(1.0 / n, &mut mean_grad);
-                let mut delta = vec![0.0; p];
-                for i in 0..p {
-                    delta[i] = -learning_rate * (mean_grad[i] - g_s[i] / n);
-                }
-                delta
+                self.mean_grad
+                    .iter()
+                    .zip(&g_s)
+                    .map(|(g, s)| -learning_rate * (g - s / n))
+                    .collect()
             }
         }
     }
@@ -616,6 +623,16 @@ impl<M: Differentiable> InfluenceEngine<M> {
         vecops::axpy(m * l2, self.model.params(), &mut g);
         g
     }
+}
+
+/// The mean of a matrix's rows, summed in row order.
+fn mean_rows(m: &Matrix) -> Vec<f64> {
+    let mut mean = vec![0.0; m.cols()];
+    for r in 0..m.rows() {
+        vecops::axpy(1.0, m.row(r), &mut mean);
+    }
+    vecops::scale(1.0 / m.rows() as f64, &mut mean);
+    mean
 }
 
 #[cfg(test)]

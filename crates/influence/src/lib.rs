@@ -31,7 +31,10 @@
 //!   gradient-descent step away from the removed subset's pull.
 //!
 //! Bias changes follow by the chain rule (paper Eq. 11):
-//! `ΔF ≈ ∇θF(θ*, D_test)ᵀ Δθ`, with `∇θF` from `gopher-fairness`.
+//! `ΔF ≈ ∇θF(θ*, D_test)ᵀ Δθ`, with `∇θF` from `gopher-fairness`. For
+//! every estimator but the Newton step, [`BiasInfluence`] evaluates this by
+//! pushing `∇θF` through `H⁻¹` once per handle and summing per-row scalars
+//! per query, instead of solving for `Δθ` per query.
 //! [`BiasInfluence`] also supports re-evaluating the (hard or smooth) metric
 //! at `θ* + Δθ`, which is often more faithful than the linearization.
 

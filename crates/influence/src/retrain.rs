@@ -3,7 +3,9 @@
 use crate::engine::InfluenceEngine;
 use gopher_data::Encoded;
 use gopher_linalg::vecops;
-use gopher_models::train::{fit_default, full_gradient, objective, NewtonConfig, TrainReport};
+use gopher_models::train::{
+    fit_default, fit_default_on, full_gradient_on, objective_on, NewtonConfig, TrainReport,
+};
 use gopher_models::Differentiable;
 
 /// Largest removal subset the Woodbury-modified solve handles; bigger
@@ -26,29 +28,41 @@ pub struct RetrainOutcome<M> {
 /// Retrains a copy of `model` on `train` minus the given rows, warm-starting
 /// from the current parameters (as the paper does to speed up the retraining
 /// baseline).
+///
+/// The trainer reads the kept rows of `train` in place by id, so no reduced
+/// copy of the training set is made; the result is bit-identical to fitting
+/// `train.remove_rows(..)`.
 pub fn retrain_without<M: Differentiable>(
     model: &M,
     train: &Encoded,
     rows: &[u32],
 ) -> RetrainOutcome<M> {
-    let mut remove = vec![false; train.n_rows()];
-    for &r in rows {
-        remove[r as usize] = true;
-    }
-    let reduced = train.remove_rows(&remove);
+    let keep = kept_rows(train, rows);
     let mut retrained = model.clone();
-    let report = fit_default(&mut retrained, &reduced);
+    let report = fit_default_on(&mut retrained, train, &keep);
     RetrainOutcome {
         model: retrained,
         report,
     }
 }
 
+/// The ids of the rows of `train` not in `rows`, in ascending order: the
+/// rows `train.remove_rows(..)` would keep, in the order it keeps them.
+fn kept_rows(train: &Encoded, rows: &[u32]) -> Vec<u32> {
+    let mut remove = vec![false; train.n_rows()];
+    for &r in rows {
+        remove[r as usize] = true;
+    }
+    (0..train.n_rows() as u32)
+        .filter(|&r| !remove[r as usize])
+        .collect()
+}
+
 /// Fans [`retrain_without`] out over many row subsets across up to
 /// `threads` worker threads, returning one outcome per subset in input
-/// order. Each retraining is independent (its own model clone and reduced
-/// dataset), so results are bit-identical to a sequential loop at any
-/// thread count. This is the ground-truth hot path of a top-k explanation:
+/// order. Each retraining is independent (its own model clone, reading the
+/// shared training set in place), so results are bit-identical to a
+/// sequential loop at any thread count. This is the ground-truth hot path of a top-k explanation:
 /// `k` retrains per query, each a full Newton solve.
 pub fn retrain_without_many<M: Differentiable>(
     model: &M,
@@ -106,11 +120,7 @@ pub fn retrain_without_incremental<M: Differentiable>(
             None => return retrain_without(base, train, rows),
         }
     }
-    let mut remove = vec![false; train.n_rows()];
-    for &r in rows {
-        remove[r as usize] = true;
-    }
-    let reduced = train.remove_rows(&remove);
+    let keep = kept_rows(train, rows);
     let m = rows.len() as f64;
     let u_refs: Vec<&[f64]> = augs.iter().map(|a| a.as_slice()).collect();
     let chol = engine.factor();
@@ -118,13 +128,13 @@ pub fn retrain_without_incremental<M: Differentiable>(
     let mut model = base.clone();
     let mut grad = vec![0.0; p];
     for iter in 0..INCREMENTAL_RETRAIN_MAX_ITER {
-        full_gradient(&model, &reduced, &mut grad);
+        full_gradient_on(&model, train, &keep, &mut grad);
         let grad_norm = vecops::norm2(&grad);
         if grad_norm < cfg.grad_tol {
             return RetrainOutcome {
                 report: TrainReport {
                     iterations: iter,
-                    final_loss: objective(&model, &reduced),
+                    final_loss: objective_on(&model, train, &keep),
                     grad_norm,
                     converged: true,
                 },
@@ -145,7 +155,7 @@ pub fn retrain_without_incremental<M: Differentiable>(
     }
     // Stalled (piecewise-quadratic kinks, stale curvature): finish with the
     // line-searched trainer, warm from the progress made so far.
-    let report = fit_default(&mut model, &reduced);
+    let report = fit_default_on(&mut model, train, &keep);
     RetrainOutcome { model, report }
 }
 
@@ -199,6 +209,42 @@ mod tests {
         rows.iter().for_each(|&r| remove[r as usize] = true);
         let reduced = train.remove_rows(&remove);
         assert!(objective(&outcome.model, &reduced) <= objective(&model, &reduced) + 1e-12);
+    }
+
+    /// Zero-copy retrains read the kept rows in place; the result must be
+    /// bit-identical to fitting the `remove_rows` copy, for every family.
+    #[test]
+    fn retrain_without_matches_fitting_the_reduced_copy_bit_for_bit() {
+        fn check<M: Differentiable>(model: M, train: &Encoded) {
+            let mut fitted = model;
+            fit_default(&mut fitted, train);
+            for rows in [
+                vec![0u32],
+                (10..40).collect::<Vec<u32>>(),
+                vec![3, 57, 58, 90, train.n_rows() as u32 - 1],
+            ] {
+                let mut remove = vec![false; train.n_rows()];
+                rows.iter().for_each(|&r| remove[r as usize] = true);
+                let mut copied = fitted.clone();
+                let copy_report = fit_default(&mut copied, &train.remove_rows(&remove));
+                let outcome = retrain_without(&fitted, train, &rows);
+                let bits = |m: &M| m.params().iter().map(|t| t.to_bits()).collect::<Vec<_>>();
+                assert_eq!(bits(&outcome.model), bits(&copied), "{} rows", rows.len());
+                assert_eq!(
+                    outcome.report.final_loss.to_bits(),
+                    copy_report.final_loss.to_bits()
+                );
+                assert_eq!(outcome.report.iterations, copy_report.iterations);
+            }
+        }
+        let raw = german(120, 47);
+        let enc = Encoder::fit(&raw);
+        let train = enc.transform(&raw);
+        let d = train.n_cols();
+        check(LogisticRegression::new(d, 1e-3), &train);
+        check(gopher_models::LinearSvm::new(d, 1e-3), &train);
+        let mut rng = gopher_prng::Rng::new(5);
+        check(gopher_models::Mlp::new(d, 3, 1e-3, &mut rng), &train);
     }
 
     #[test]

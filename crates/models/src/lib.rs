@@ -155,6 +155,22 @@ pub trait Differentiable: Model {
         let _ = (x, y, aug);
         None
     }
+
+    /// Accumulates `scale · x̃` into `out`, where `x̃` is the augmented
+    /// feature vector [`hessian_rank_one`](Self::hessian_rank_one) writes
+    /// for the same example. Only meaningful when that method returns
+    /// `Some`.
+    ///
+    /// Default: calls `hessian_rank_one` into a scratch buffer. Models whose
+    /// `x̃` is cheaper than the weight (the GLMs' `x̃ = [x, 1]`, where the
+    /// weight costs an `exp`) should override; influence scoring sums `x̃`
+    /// over every row of every candidate subset.
+    fn accumulate_rank_one_vector(&self, x: &[f64], y: f64, scale: f64, out: &mut [f64]) {
+        let mut aug = vec![0.0; self.n_params()];
+        if self.hessian_rank_one(x, y, &mut aug).is_some() {
+            gopher_linalg::vecops::axpy(scale, &aug, out);
+        }
+    }
 }
 
 /// Relative step used by the finite-difference Hessian–vector product.

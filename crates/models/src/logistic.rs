@@ -152,6 +152,11 @@ impl Differentiable for LogisticRegression {
         let p = self.predict_proba(x);
         Some(p * (1.0 - p))
     }
+
+    fn accumulate_rank_one_vector(&self, x: &[f64], _y: f64, scale: f64, out: &mut [f64]) {
+        vecops::axpy(scale, x, &mut out[..self.n_inputs]);
+        out[self.n_inputs] += scale;
+    }
 }
 
 #[cfg(test)]
@@ -258,6 +263,18 @@ mod tests {
                 assert!((h[(i, j)] - h[(j, i)]).abs() < 1e-12, "symmetry");
             }
         }
+    }
+
+    #[test]
+    fn rank_one_vector_is_the_rank_one_aug_scaled() {
+        let m = model();
+        let x = [0.3, -0.4];
+        let mut aug = vec![0.0; 3];
+        m.hessian_rank_one(&x, 1.0, &mut aug).expect("rank-1");
+        let mut acc = vec![1.0; 3];
+        m.accumulate_rank_one_vector(&x, 1.0, 0.25, &mut acc);
+        let expected: Vec<f64> = aug.iter().map(|a| 1.0 + 0.25 * a).collect();
+        assert_eq!(acc, expected);
     }
 
     #[test]

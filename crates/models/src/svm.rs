@@ -146,6 +146,11 @@ impl Differentiable for LinearSvm {
         let (slack, _) = self.slack(x, y);
         Some(if slack > 0.0 { 2.0 } else { 0.0 })
     }
+
+    fn accumulate_rank_one_vector(&self, x: &[f64], _y: f64, scale: f64, out: &mut [f64]) {
+        vecops::axpy(scale, x, &mut out[..self.n_inputs]);
+        out[self.n_inputs] += scale;
+    }
 }
 
 #[cfg(test)]
@@ -217,6 +222,18 @@ mod tests {
         let mut h = Matrix::zeros(3, 3);
         m.accumulate_hessian(&x, 1.0, &mut h);
         assert_eq!(h.max_abs(), 0.0);
+    }
+
+    #[test]
+    fn rank_one_vector_is_the_rank_one_aug_scaled() {
+        let m = model();
+        let x = [0.3, -0.4];
+        let mut aug = vec![0.0; 3];
+        m.hessian_rank_one(&x, 0.0, &mut aug).expect("rank-1");
+        let mut acc = vec![1.0; 3];
+        m.accumulate_rank_one_vector(&x, 0.0, 0.25, &mut acc);
+        let expected: Vec<f64> = aug.iter().map(|a| 1.0 + 0.25 * a).collect();
+        assert_eq!(acc, expected);
     }
 
     #[test]

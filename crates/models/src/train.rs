@@ -22,11 +22,24 @@ pub struct TrainReport {
     pub converged: bool,
 }
 
+/// Every row id of `data`, in order: the row set of a full fit.
+fn all_rows(data: &Encoded) -> Vec<u32> {
+    (0..data.n_rows() as u32).collect()
+}
+
 /// The regularized objective `J(θ)` on a dataset.
 pub fn objective<M: Differentiable>(model: &M, data: &Encoded) -> f64 {
-    let n = data.n_rows().max(1);
+    objective_on(model, data, &all_rows(data))
+}
+
+/// The regularized objective `J(θ)` on the rows `rows` of `data`, summed in
+/// the order given. Bit-identical to [`objective`] on a copy holding just
+/// those rows in that order, without making the copy.
+pub fn objective_on<M: Differentiable>(model: &M, data: &Encoded, rows: &[u32]) -> f64 {
+    let n = rows.len().max(1);
     let mut total = 0.0;
-    for r in 0..data.n_rows() {
+    for &r in rows {
+        let r = r as usize;
         total += model.loss(data.x.row(r), data.y[r]);
     }
     let theta = model.params();
@@ -35,12 +48,23 @@ pub fn objective<M: Differentiable>(model: &M, data: &Encoded) -> f64 {
 
 /// Writes `∇J(θ) = (1/n) Σ ∇L + λθ` into `out` (overwriting it).
 pub fn full_gradient<M: Differentiable>(model: &M, data: &Encoded, out: &mut [f64]) {
+    full_gradient_on(model, data, &all_rows(data), out);
+}
+
+/// [`full_gradient`] over the rows `rows` of `data` (`n = rows.len()`).
+pub fn full_gradient_on<M: Differentiable>(
+    model: &M,
+    data: &Encoded,
+    rows: &[u32],
+    out: &mut [f64],
+) {
     debug_assert_eq!(out.len(), model.n_params());
     out.iter_mut().for_each(|g| *g = 0.0);
-    for r in 0..data.n_rows() {
+    for &r in rows {
+        let r = r as usize;
         model.accumulate_grad(data.x.row(r), data.y[r], out);
     }
-    let n = data.n_rows().max(1) as f64;
+    let n = rows.len().max(1) as f64;
     let l2 = model.l2();
     for (g, t) in out.iter_mut().zip(model.params()) {
         *g = *g / n + l2 * t;
@@ -84,13 +108,23 @@ impl Default for GdConfig {
 
 /// Trains `model` in place by full-batch gradient descent.
 pub fn fit_gd<M: Differentiable>(model: &mut M, data: &Encoded, cfg: &GdConfig) -> TrainReport {
+    fit_gd_on(model, data, &all_rows(data), cfg)
+}
+
+/// [`fit_gd`] on the rows `rows` of `data`.
+fn fit_gd_on<M: Differentiable>(
+    model: &mut M,
+    data: &Encoded,
+    rows: &[u32],
+    cfg: &GdConfig,
+) -> TrainReport {
     let p = model.n_params();
     let mut grad = vec![0.0; p];
     let mut velocity = vec![0.0; p];
     let mut iterations = 0;
     let mut grad_norm = f64::INFINITY;
     for epoch in 0..cfg.max_epochs {
-        full_gradient(model, data, &mut grad);
+        full_gradient_on(model, data, rows, &mut grad);
         grad_norm = vecops::norm2(&grad);
         iterations = epoch;
         if grad_norm < cfg.grad_tol {
@@ -103,7 +137,7 @@ pub fn fit_gd<M: Differentiable>(model: &mut M, data: &Encoded, cfg: &GdConfig) 
     }
     TrainReport {
         iterations,
-        final_loss: objective(model, data),
+        final_loss: objective_on(model, data, rows),
         grad_norm,
         converged: grad_norm < cfg.grad_tol,
     }
@@ -141,13 +175,23 @@ pub fn fit_newton<M: Differentiable>(
     data: &Encoded,
     cfg: &NewtonConfig,
 ) -> TrainReport {
+    fit_newton_on(model, data, &all_rows(data), cfg)
+}
+
+/// [`fit_newton`] on the rows `rows` of `data`.
+fn fit_newton_on<M: Differentiable>(
+    model: &mut M,
+    data: &Encoded,
+    rows: &[u32],
+    cfg: &NewtonConfig,
+) -> TrainReport {
     let p = model.n_params();
-    let n = data.n_rows().max(1) as f64;
+    let n = rows.len().max(1) as f64;
     let mut grad = vec![0.0; p];
     let mut iterations = 0;
     let mut stalled = false;
     for iter in 0..cfg.max_iter {
-        full_gradient(model, data, &mut grad);
+        full_gradient_on(model, data, rows, &mut grad);
         let grad_norm = vecops::norm2(&grad);
         iterations = iter;
         if grad_norm < cfg.grad_tol {
@@ -155,7 +199,8 @@ pub fn fit_newton<M: Differentiable>(
         }
         // Assemble H = (1/n) Σ ∇²L + λI.
         let mut h = Matrix::zeros(p, p);
-        for r in 0..data.n_rows() {
+        for &r in rows {
+            let r = r as usize;
             model.accumulate_hessian(data.x.row(r), data.y[r], &mut h);
         }
         h.scale(1.0 / n);
@@ -164,7 +209,7 @@ pub fn fit_newton<M: Differentiable>(
             Cholesky::factor_damped(&h, cfg.damping, 24).expect("damping escalation succeeds");
         let step = chol.solve(&grad);
         // Backtracking line search on J.
-        let base = objective(model, data);
+        let base = objective_on(model, data, rows);
         let mut alpha = 1.0;
         let mut improved = false;
         for _ in 0..30 {
@@ -172,7 +217,7 @@ pub fn fit_newton<M: Differentiable>(
             for (t, s) in trial.params_mut().iter_mut().zip(&step) {
                 *t -= alpha * s;
             }
-            if objective(&trial, data) < base {
+            if objective_on(&trial, data, rows) < base {
                 model.params_mut().copy_from_slice(trial.params());
                 improved = true;
                 break;
@@ -186,11 +231,11 @@ pub fn fit_newton<M: Differentiable>(
             break;
         }
     }
-    full_gradient(model, data, &mut grad);
+    full_gradient_on(model, data, rows, &mut grad);
     let grad_norm = vecops::norm2(&grad);
     TrainReport {
         iterations,
-        final_loss: objective(model, data),
+        final_loss: objective_on(model, data, rows),
         grad_norm,
         converged: grad_norm < cfg.grad_tol || stalled,
     }
@@ -199,10 +244,21 @@ pub fn fit_newton<M: Differentiable>(
 /// Trains with the method best suited to the model: Newton for models with
 /// analytic Hessians, gradient descent otherwise.
 pub fn fit_default<M: Differentiable>(model: &mut M, data: &Encoded) -> TrainReport {
+    fit_default_on(model, data, &all_rows(data))
+}
+
+/// [`fit_default`] on the rows `rows` of `data`: the same fit as on a copy
+/// holding just those rows in that order, bit for bit, without the copy.
+/// Ground-truth retrains pass the kept row ids.
+pub fn fit_default_on<M: Differentiable>(
+    model: &mut M,
+    data: &Encoded,
+    rows: &[u32],
+) -> TrainReport {
     if model.has_analytic_hessian() {
-        fit_newton(model, data, &NewtonConfig::default())
+        fit_newton_on(model, data, rows, &NewtonConfig::default())
     } else {
-        fit_gd(model, data, &GdConfig::default())
+        fit_gd_on(model, data, rows, &GdConfig::default())
     }
 }
 

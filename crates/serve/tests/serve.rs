@@ -206,6 +206,29 @@ fn csv_uploads_work_and_errors_carry_line_numbers() {
     let answer = request_once(addr, "POST", "/sessions/uploaded/explain", Some("{}")).unwrap();
     assert_eq!(answer.status, 200, "{}", answer.body);
 
+    // A numeric column of ±1e308 overflows plain standardization; it must
+    // still build and answer, not 500.
+    let mut extreme = String::from("group,income,approved\n");
+    for i in 0..200 {
+        let group = if i % 3 == 0 { "a" } else { "b" };
+        let income = if i % 2 == 0 { "1e308" } else { "-1e308" };
+        let approved = u8::from((i * 5) % 7 < if group == "a" { 4 } else { 3 });
+        extreme.push_str(&format!("{group},{income},{approved}\n"));
+    }
+    let upload = format!(
+        "{}",
+        Json::obj([
+            ("name", Json::str("extreme")),
+            ("csv", Json::str(&extreme)),
+            ("label", Json::str("approved")),
+            ("protected", Json::str("group=a")),
+        ])
+    );
+    let created = request_once(addr, "POST", "/sessions", Some(&upload)).unwrap();
+    assert_eq!(created.status, 201, "{}", created.body);
+    let answer = request_once(addr, "POST", "/sessions/extreme/explain", Some("{}")).unwrap();
+    assert_eq!(answer.status, 200, "{}", answer.body);
+
     // A malformed row: the 400 names the offending line.
     let bad_csv = "age,job,good_credit\n31,clerk,1\n44,\"unterminated,0\n";
     let upload = format!(
