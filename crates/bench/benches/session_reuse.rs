@@ -1,15 +1,13 @@
 //! Session-reuse benchmark: the acceptance workload for the query-oriented
 //! API. One warm [`ExplainSession`] serving two single-metric queries plus a
-//! 2-request batch must beat three cold `Gopher::fit(...).explain()` runs on
-//! the German workload — the cold path re-pays training, Hessian
+//! 2-request batch must beat three cold sessions that each answer one
+//! request on the German workload — the cold path re-pays training, Hessian
 //! factorization, predicate generation, and every coverage intersection per
 //! call.
 
-#![allow(deprecated)] // the cold arm benchmarks the legacy façade on purpose
-
 use criterion::{criterion_group, criterion_main, Criterion};
 use gopher_bench::workloads::{prepare, DatasetKind};
-use gopher_core::{ExplainRequest, Gopher, GopherConfig, SessionBuilder};
+use gopher_core::{ExplainRequest, SessionBuilder};
 use gopher_fairness::FairnessMetric;
 use gopher_models::LogisticRegression;
 
@@ -35,17 +33,12 @@ fn bench_session_reuse(c: &mut Criterion) {
         b.iter(|| {
             let mut reports = Vec::new();
             for request in [&sp, &eo, &sp] {
-                let gopher = Gopher::fit(
+                let session = SessionBuilder::new().fit(
                     |cols| LogisticRegression::new(cols, 1e-3),
                     &p.train_raw,
                     &p.test_raw,
-                    GopherConfig {
-                        metric: request.metric,
-                        ground_truth_for_topk: false,
-                        ..Default::default()
-                    },
                 );
-                reports.push(gopher.explain());
+                reports.push(session.explain(request).report);
             }
             reports
         });

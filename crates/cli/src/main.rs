@@ -22,7 +22,9 @@
 #![forbid(unsafe_code)]
 
 use gopher_cli::json::{self, Json};
-use gopher_core::{ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, UpdateReport};
+use gopher_core::{
+    ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, UpdateReport, MAX_THREADS,
+};
 use gopher_data::csv::{parse_protected_spec, read_csv_infer};
 use gopher_data::generators::{adult, german, sqf};
 use gopher_data::{Dataset, Encoder};
@@ -77,14 +79,8 @@ COMMON OPTIONS:
     --threads <N>           worker threads for explain/report/query batches
                             (scorer fan-out, sweep groups, ground-truth
                             retrains); 0 = auto: $GOPHER_THREADS if set, else
-                            all available cores [0]. Results are identical
-                            at every thread count.
-    --prefilter-sample <N>  row-sample size of the admissible sampled-support
-                            prefilter; 0 = off [0]. Skips provably
-                            unsupported merges in the structural pass before
-                            their exact intersection — results are identical
-                            on or off; worth turning on from ~100k rows
-                            (sample about a quarter of the rows).
+                            all available cores [0]; at most 256. Results
+                            are identical at every thread count.
     --json                  emit a JSON report on stdout instead of text
 
 EXPLAIN/QUERY OPTIONS:
@@ -178,7 +174,6 @@ struct Opts {
     test_fraction: f64,
     l2: f64,
     threads: usize,
-    prefilter_sample: usize,
     json: bool,
     stats: bool,
     k: usize,
@@ -213,7 +208,6 @@ impl Default for Opts {
             test_fraction: 0.3,
             l2: 1e-3,
             threads: 0,
-            prefilter_sample: 0,
             json: false,
             stats: false,
             k: 3,
@@ -277,10 +271,6 @@ fn parse_opts(args: &[String]) -> Result<Opts, UsageError> {
             }
             "--l2" => opts.l2 = parse_num(value("--l2")?, "--l2")?,
             "--threads" => opts.threads = parse_num(value("--threads")?, "--threads")?,
-            "--prefilter-sample" => {
-                opts.prefilter_sample =
-                    parse_num(value("--prefilter-sample")?, "--prefilter-sample")?
-            }
             "--delta-remove" => {
                 opts.delta_remove = parse_num(value("--delta-remove")?, "--delta-remove")?
             }
@@ -318,6 +308,9 @@ fn parse_opts(args: &[String]) -> Result<Opts, UsageError> {
     }
     if opts.max_predicates == 0 {
         return Err(bad("--max-predicates must be positive"));
+    }
+    if opts.threads > MAX_THREADS {
+        return Err(bad(format!("--threads must be at most {MAX_THREADS}")));
     }
     // Reports record the seed as a JSON number; above 2^53 that round-trips
     // through f64 lossily and the printed seed would not reproduce the run.
@@ -661,7 +654,6 @@ fn fit_session<M: ModelFamily>(
 ) -> ExplainSession<M> {
     SessionBuilder::new()
         .threads(opts.threads)
-        .prefilter_sample(opts.prefilter_sample)
         .fit(make_model, train, test)
 }
 

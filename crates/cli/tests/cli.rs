@@ -392,6 +392,16 @@ fn usage_errors_exit_with_code_2() {
     let out = gopher(&["explain", "--support", "1.5"]);
     assert_eq!(out.status.code(), Some(2));
     assert!(String::from_utf8_lossy(&out.stderr).contains("--support"));
+
+    // Thread counts past the cap are refused before any session is built.
+    let out = gopher(&["explain", "--threads", "257"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--threads must be at most 256"));
+
+    // The removed prefilter flag is an unknown flag.
+    let out = gopher(&["explain", "--prefilter-sample", "100"]);
+    assert_eq!(out.status.code(), Some(2));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown flag `--prefilter-sample`"));
 }
 
 #[test]

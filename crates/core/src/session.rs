@@ -16,11 +16,10 @@
 //!   (structural enumeration + coverage intersection) across requests and
 //!   fans the scoring callbacks out per request.
 //!
-//! Results are **bit-identical** to cold [`Gopher`](crate::Gopher) runs with
-//! the equivalent [`GopherConfig`](crate::GopherConfig): the session only
-//! caches pure functions
-//! of the trained model (coverage bitsets, per-metric bias gradients,
-//! finished sweeps), never approximations.
+//! Results are **bit-identical** to a cold session answering the same
+//! request first: the session only caches pure functions of the trained
+//! model (coverage bitsets, per-metric bias gradients, finished sweeps),
+//! never approximations.
 //!
 //! ```
 //! use gopher_core::{ExplainRequest, SessionBuilder};
@@ -54,8 +53,7 @@ use gopher_influence::{
 use gopher_models::Differentiable;
 use gopher_patterns::{
     generate_predicates, lattice, min_count_for, topk, BitSet, Candidate, CoverageCache,
-    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SupportPrefilter,
-    SweepStructure,
+    LatticeConfig, PredicateIndex, PredicateTable, ScoreFn, SearchStats, SweepStructure,
 };
 use std::collections::{HashMap, HashSet};
 use std::hash::Hash;
@@ -87,20 +85,27 @@ fn gt_responsibility(base: f64, new_bias: f64) -> f64 {
 /// the whole test suite single- and multi-threaded).
 pub const THREADS_ENV: &str = "GOPHER_THREADS";
 
+/// Largest worker-thread count a session runs with. Each batched sweep asks
+/// for up to this many OS threads, so the CLI and serve reject larger
+/// requested counts outright, and [`SessionBuilder::threads`] and
+/// [`THREADS_ENV`] values above it are clamped to it.
+pub const MAX_THREADS: usize = 256;
+
 /// Resolves the builder's thread knob: an explicit positive value wins, then
-/// [`THREADS_ENV`], then the host's available parallelism.
+/// [`THREADS_ENV`], then the host's available parallelism — at most
+/// [`MAX_THREADS`] in every case.
 fn resolve_threads(requested: usize) -> usize {
     if requested > 0 {
-        return requested;
+        return requested.min(MAX_THREADS);
     }
     if let Ok(value) = std::env::var(THREADS_ENV) {
         if let Ok(n) = value.parse::<usize>() {
             if n > 0 {
-                return n;
+                return n.min(MAX_THREADS);
             }
         }
     }
-    gopher_par::available_parallelism()
+    gopher_par::available_parallelism().min(MAX_THREADS)
 }
 
 /// Builds an [`ExplainSession`]: the per-model options that must be fixed
@@ -113,7 +118,6 @@ pub struct SessionBuilder {
     sweep_cache_cap: usize,
     structure_cache_cap: usize,
     coverage_cache_cap: usize,
-    prefilter_sample: usize,
 }
 
 impl Default for SessionBuilder {
@@ -135,7 +139,6 @@ impl SessionBuilder {
             sweep_cache_cap: SWEEP_CACHE_CAP,
             structure_cache_cap: STRUCTURE_CACHE_CAP,
             coverage_cache_cap: gopher_patterns::coverage::DEFAULT_COVERAGE_CACHE_CAP,
-            prefilter_sample: 0,
         }
     }
 
@@ -157,7 +160,8 @@ impl SessionBuilder {
     /// groups, and ground-truth retrains all fan out across this many
     /// threads. `0` (the default) resolves to the `GOPHER_THREADS`
     /// environment variable if set, else the host's available parallelism.
-    /// Results are bit-identical at every thread count.
+    /// Counts above [`MAX_THREADS`] are clamped to it. Results are
+    /// bit-identical at every thread count.
     #[must_use]
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
@@ -196,26 +200,6 @@ impl SessionBuilder {
         self
     }
 
-    /// Row-sample size of the admissible sampled-support prefilter, or `0`
-    /// (the default) to disable it. When on, the structural pass bounds each
-    /// merge's support from above on ~this many sampled rows and skips the
-    /// exact intersection when the bound already fails the support
-    /// threshold. The skip rule is *admissible* — a merge is skipped iff the
-    /// bound proves `count < min_count` — so results, candidates, and every
-    /// sweep statistic are bit-identical with the prefilter on or off; only
-    /// the structural pass gets cheaper. The bound's power scales with the
-    /// sampled *fraction* — about a quarter of the training rows works
-    /// well; a fixed few thousand rows proves nothing at SQF scale (see
-    /// `gopher_patterns::SupportPrefilter`). Worth turning on from ~100k
-    /// rows; at small n the probe overhead outweighs the skipped work, and
-    /// around 1M rows the structural pass goes memory-bandwidth-bound and
-    /// the prefilter lands at break-even rather than a win.
-    #[must_use]
-    pub fn prefilter_sample(mut self, sample_rows: usize) -> Self {
-        self.prefilter_sample = sample_rows;
-        self
-    }
-
     /// Builds a session around an **already trained** model. The model must
     /// have been trained on `Encoder::fit(train_raw)`-encoded data;
     /// influence functions assume its parameters are a stationary point.
@@ -243,8 +227,6 @@ impl SessionBuilder {
         // any support threshold or metric start from these shared bitsets.
         let index = PredicateIndex::build(&table, &coverage);
         let accuracy = gopher_models::train::accuracy(backend.model(), &test);
-        let prefilter = (self.prefilter_sample > 0)
-            .then(|| Arc::new(SupportPrefilter::new(table.n_rows(), self.prefilter_sample)));
         ExplainSession {
             train_raw: train_raw.clone(),
             encoder,
@@ -259,7 +241,6 @@ impl SessionBuilder {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(self.sweep_cache_cap)),
             structure_cache: Mutex::new(LruCache::new(self.structure_cache_cap)),
-            prefilter,
             requests_served: AtomicU64::new(0),
             batches_served: AtomicU64::new(0),
             max_batch_requests: AtomicU64::new(0),
@@ -376,8 +357,8 @@ impl ExplainRequest {
 pub struct ExplainResponse {
     /// The request this response answers (echoed for batch bookkeeping).
     pub request: ExplainRequest,
-    /// The explanation report, identical in content to what a cold
-    /// [`Gopher`](crate::Gopher) run with the equivalent config produces.
+    /// The explanation report, identical in content to what a cold session
+    /// answering only this request produces.
     pub report: ExplanationReport,
     /// Wire name of the estimator that answered, as the session's backend
     /// reports it: the requested estimator for lr/svm/mlp, `"unlearning"`
@@ -748,14 +729,6 @@ pub struct SessionStats {
     /// Fresh coverages the coverage-cache cap refused to retain (nonzero
     /// means the cap is too small for the workload).
     pub coverage_inserts_refused: u64,
-    /// Effective row-sample size of the sampled-support prefilter (`0` when
-    /// the prefilter is off).
-    pub prefilter_sample_rows: usize,
-    /// Merge resolutions that consulted the prefilter.
-    pub prefilter_probes: u64,
-    /// Prefilter consultations whose sampled upper bound skipped the exact
-    /// intersection (each one a provably unsupported merge).
-    pub prefilter_skips: u64,
     /// Total explanation requests answered (every entry point funnels
     /// through [`ExplainSession::explain_batch`]). Registry-facing: the
     /// per-session traffic counter a serving deployment watches.
@@ -812,11 +785,6 @@ pub struct ExplainSession<M: ModelFamily> {
     /// Tier 1: structural artifacts, keyed by structural config alone and
     /// reused across metrics, estimators, and bias evaluations.
     structure_cache: Mutex<LruCache<StructuralKey, Arc<SweepStructure>>>,
-    /// Admissible sampled-support prefilter attached to every structural
-    /// artifact this session builds; `None` when the knob is off. Session-
-    /// constant, so it is deliberately *not* part of [`StructuralKey`] —
-    /// artifacts differ only in speed, never content.
-    prefilter: Option<Arc<SupportPrefilter>>,
     /// Total [`ExplainRequest`]s this session has answered (every entry
     /// point funnels through [`Self::explain_batch`]). Registry-facing: a
     /// serving deployment's per-session traffic counter.
@@ -923,9 +891,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             coverage_hits: coverage.hits,
             coverage_misses: coverage.misses,
             coverage_inserts_refused: coverage.inserts_refused,
-            prefilter_sample_rows: self.prefilter.as_ref().map_or(0, |p| p.sample_rows()),
-            prefilter_probes: self.prefilter.as_ref().map_or(0, |p| p.probes()),
-            prefilter_skips: self.prefilter.as_ref().map_or(0, |p| p.skips()),
             requests_served: self.requests_served.load(Ordering::Relaxed),
             batches_served: self.batches_served.load(Ordering::Relaxed),
             max_batch_requests: self.max_batch_requests.load(Ordering::Relaxed),
@@ -949,8 +914,8 @@ impl<M: ModelFamily> ExplainSession<M> {
     }
 
     /// Answers one request. Equivalent to `explain_batch` with a singleton
-    /// slice; the response content matches a cold
-    /// [`Gopher`](crate::Gopher) run with the equivalent config bit for bit.
+    /// slice; the response content matches a cold session's answer to the
+    /// same request bit for bit.
     pub fn explain(&self, request: &ExplainRequest) -> ExplainResponse {
         self.explain_batch(std::slice::from_ref(request))
             .pop()
@@ -1150,11 +1115,7 @@ impl<M: ModelFamily> ExplainSession<M> {
         // merges.
         let fresh = Arc::new(match base {
             Some(base) => base.refilter_view(key.min_count),
-            None => SweepStructure::build_with_prefilter(
-                &self.index,
-                lattice_cfg,
-                self.prefilter.clone(),
-            ),
+            None => SweepStructure::build(&self.index, lattice_cfg),
         });
         let mut cache = lock_recover(&self.structure_cache);
         if let Some(raced) = cache.get_quiet(&key) {
@@ -1458,10 +1419,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         let table = self.table.patch(&new_raw, removed);
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
-        let prefilter = self
-            .prefilter
-            .as_ref()
-            .map(|p| Arc::new(SupportPrefilter::new(new_raw.n_rows(), p.sample_rows())));
 
         // Structure tier: re-anchor artifacts whose frontier held, drop the
         // rest. Keys stay as they are — they are integer min-counts, and a
@@ -1476,7 +1433,7 @@ impl<M: ModelFamily> ExplainSession<M> {
                 let artifact = cache
                     .get_quiet(&key)
                     .expect("key enumerated under this lock");
-                match artifact.patched(&index, &coverage, prefilter.clone()) {
+                match artifact.patched(&index, &coverage, None) {
                     Some(patched) => {
                         cache.insert(key, Arc::new(patched));
                         survived += 1;
@@ -1500,7 +1457,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         self.table = table;
         self.index = index;
         self.coverage = coverage;
-        self.prefilter = prefilter;
         self.accuracy = gopher_models::train::accuracy(self.backend.model(), &self.test);
 
         self.updates_applied.fetch_add(1, Ordering::Relaxed);
@@ -1544,10 +1500,6 @@ impl<M: ModelFamily> ExplainSession<M> {
         let coverage = CoverageCache::with_capacity_cap(self.coverage.cap());
         let index = PredicateIndex::build(&table, &coverage);
         let accuracy = gopher_models::train::accuracy(backend.model(), &self.test);
-        let prefilter = self
-            .prefilter
-            .as_ref()
-            .map(|p| Arc::new(SupportPrefilter::new(train.n_rows(), p.sample_rows())));
         ExplainSession {
             train_raw: self.train_raw.clone(),
             encoder: self.encoder.clone(),
@@ -1562,7 +1514,6 @@ impl<M: ModelFamily> ExplainSession<M> {
             bias_cache: Mutex::new(HashMap::new()),
             sweep_cache: Mutex::new(LruCache::new(lock_recover(&self.sweep_cache).cap)),
             structure_cache: Mutex::new(LruCache::new(lock_recover(&self.structure_cache).cap)),
-            prefilter,
             requests_served: AtomicU64::new(0),
             batches_served: AtomicU64::new(0),
             max_batch_requests: AtomicU64::new(0),

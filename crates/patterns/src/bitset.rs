@@ -311,16 +311,6 @@ impl BitSet {
         and_count_words(&self.words, &other.words)
     }
 
-    /// `|self ∩ other|` restricted to the word range `[lo, hi)`, through the
-    /// dispatched kernel — the sampled-support prefilter's probe primitive
-    /// (block-contiguous samples keep it on the SIMD path).
-    ///
-    /// # Panics
-    /// If the range is out of bounds for either set's word array.
-    pub(crate) fn and_count_range(&self, other: &BitSet, lo: usize, hi: usize) -> usize {
-        (kernels().and_count)(&self.words[lo..hi], &other.words[lo..hi])
-    }
-
     /// Order-preserving bit compaction: a new set over `n_new` rows holding
     /// this set's members at *kept* positions, renumbered by the prefix sum
     /// of `keep` (the j-th kept position maps to output bit j). This is the

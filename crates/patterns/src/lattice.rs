@@ -21,7 +21,7 @@ use crate::candidates::PredicateTable;
 use crate::coverage::CoverageCache;
 use crate::index::PredicateIndex;
 use crate::pattern::Pattern;
-use crate::structure::{min_count_for, ParentHint, SweepStructure};
+use crate::structure::{min_count_for, SweepStructure};
 use std::collections::{HashMap, HashSet};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -300,11 +300,9 @@ pub fn compute_candidates_multi(
                         Some(&at) => union[at].scorers |= bit,
                         None => {
                             union_index.insert(cand.pattern.ids().to_vec(), union.len());
-                            let count = (cand.support * n as f64).round() as usize;
                             union.push(UnionParent {
                                 pattern: cand.pattern.clone(),
                                 coverage: Arc::clone(&cand.coverage),
-                                hint: structure.parent_hint(&cand.coverage, count),
                                 scorers: bit,
                             });
                         }
@@ -331,17 +329,6 @@ pub fn compute_candidates_multi(
             let mut next: Vec<Candidate> = Vec::new();
             let mut seen: HashSet<Vec<u16>> = HashSet::new();
             let mut generated = 0usize;
-            // Exact parent counts (supports round-trip exactly at these
-            // magnitudes) plus in-sample counts, one pass per frontier
-            // pattern, let the artifact's sampled-support prefilter, when
-            // attached, skip doomed merges.
-            let hints: Vec<_> = run
-                .frontier
-                .iter()
-                .map(|c| {
-                    structure.parent_hint(&c.coverage, (c.support * n as f64).round() as usize)
-                })
-                .collect();
             for i in 0..run.frontier.len() {
                 for j in (i + 1)..run.frontier.len() {
                     let (a, b) = (&run.frontier[i], &run.frontier[j]);
@@ -354,9 +341,7 @@ pub fn compute_candidates_multi(
                     if merge_conflicts(table, &a.pattern, &b.pattern) {
                         continue;
                     }
-                    let hint = Some((hints[i], hints[j]));
-                    let record =
-                        structure.resolve_with(merged.ids(), cache, &a.coverage, &b.coverage, hint);
+                    let record = structure.resolve(merged.ids(), cache, &a.coverage, &b.coverage);
                     if record.count < min_count {
                         continue;
                     }
@@ -410,10 +395,6 @@ pub fn compute_candidates_multi(
 struct UnionParent {
     pattern: Pattern,
     coverage: Arc<BitSet>,
-    /// Exact member count of `coverage` (recovered from the candidate's
-    /// support) plus its in-sample count — the prefilter hint for the
-    /// structural pass, computed once per distinct parent.
-    hint: ParentHint,
     scorers: u64,
 }
 
@@ -495,7 +476,7 @@ fn resolve_union_merges(
     }
     let records = gopher_par::par_map(threads, &merges, |_, (ids, i, j)| {
         let (a, b) = (&union[*i], &union[*j]);
-        structure.compute_record_with(ids, cache, &a.coverage, &b.coverage, Some((a.hint, b.hint)))
+        structure.compute_record(ids, cache, &a.coverage, &b.coverage)
     });
     for ((ids, _, _), record) in merges.iter().zip(records) {
         structure.insert(ids, record);

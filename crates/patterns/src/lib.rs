@@ -36,4 +36,4 @@ pub use index::PredicateIndex;
 pub use lattice::{Candidate, LatticeConfig, LevelStats, ScoreFn, SearchStats};
 pub use pattern::Pattern;
 pub use predicate::{Op, PredValue, Predicate};
-pub use structure::{min_count_for, MergeRecord, ParentHint, SupportPrefilter, SweepStructure};
+pub use structure::{min_count_for, MergeRecord, SweepStructure};

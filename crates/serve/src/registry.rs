@@ -12,6 +12,7 @@
 use crate::batcher::Batcher;
 use gopher_core::{
     ExplainRequest, ExplainResponse, ExplainSession, SessionBuilder, SessionStats, UpdateReport,
+    MAX_THREADS,
 };
 use gopher_data::csv::{parse_protected_spec, read_csv_infer};
 use gopher_data::generators::{adult, german, sqf};
@@ -156,10 +157,8 @@ pub struct SessionConfig {
     pub test_fraction: f64,
     /// L2 regularization strength.
     pub l2: f64,
-    /// Worker threads (0 = auto).
+    /// Worker threads (0 = auto, at most [`MAX_THREADS`]).
     pub threads: usize,
-    /// Sampled-support prefilter rows (0 = off).
-    pub prefilter_sample: usize,
     /// Scored-sweep cache cap override.
     pub sweep_cache_cap: Option<usize>,
     /// Structure cache cap override.
@@ -170,7 +169,7 @@ pub struct SessionConfig {
 
 /// The JSON fields `POST /sessions` understands. Unknown keys are hard
 /// errors — a typo'd knob must not silently fall back to a default.
-pub const SESSION_FIELDS: [&str; 15] = [
+pub const SESSION_FIELDS: [&str; 14] = [
     "name",
     "generator",
     "rows",
@@ -182,7 +181,6 @@ pub const SESSION_FIELDS: [&str; 15] = [
     "test_fraction",
     "l2",
     "threads",
-    "prefilter_sample",
     "sweep_cache_cap",
     "structure_cache_cap",
     "coverage_cache_cap",
@@ -312,6 +310,12 @@ impl SessionConfig {
                 "\"l2\" must be a finite non-negative number, got {l2}"
             ));
         }
+        let threads = get_count("threads")?.unwrap_or(0);
+        if threads > MAX_THREADS {
+            return Err(format!(
+                "\"threads\" must be at most {MAX_THREADS}, got {threads}"
+            ));
+        }
         Ok(SessionConfig {
             name,
             source,
@@ -319,8 +323,7 @@ impl SessionConfig {
             seed,
             test_fraction,
             l2,
-            threads: get_count("threads")?.unwrap_or(0),
-            prefilter_sample: get_count("prefilter_sample")?.unwrap_or(0),
+            threads,
             sweep_cache_cap: get_count("sweep_cache_cap")?,
             structure_cache_cap: get_count("structure_cache_cap")?,
             coverage_cache_cap: get_count("coverage_cache_cap")?,
@@ -544,9 +547,7 @@ pub fn build_session(config: &SessionConfig) -> Result<(AnySession, usize), Stri
             test.n_rows()
         ));
     }
-    let mut builder = SessionBuilder::new()
-        .threads(config.threads)
-        .prefilter_sample(config.prefilter_sample);
+    let mut builder = SessionBuilder::new().threads(config.threads);
     if let Some(cap) = config.sweep_cache_cap {
         builder = builder.sweep_cache_cap(cap);
     }

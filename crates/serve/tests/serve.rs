@@ -299,6 +299,32 @@ fn protocol_errors_map_to_the_right_statuses() {
         .and_then(Json::as_str)
         .unwrap()
         .contains("rowz"));
+    // The removed prefilter knob is an unknown field like any other.
+    let removed = request_once(
+        addr,
+        "POST",
+        "/sessions",
+        Some(r#"{"name":"x", "generator":"german", "prefilter_sample":100}"#),
+    )
+    .unwrap();
+    assert_eq!(removed.status, 400, "{}", removed.body);
+    assert!(parse(&removed.body)
+        .get("error")
+        .and_then(Json::as_str)
+        .unwrap()
+        .contains("unknown field \"prefilter_sample\""));
+    // Thread counts past the cap are refused before any session (or
+    // thread) exists — 1e300 would otherwise saturate to usize::MAX.
+    for threads in ["257", "1e300"] {
+        let body = format!(r#"{{"name":"x", "generator":"german", "threads":{threads}}}"#);
+        let capped = request_once(addr, "POST", "/sessions", Some(&body)).unwrap();
+        assert_eq!(capped.status, 400, "{}", capped.body);
+        assert!(parse(&capped.body)
+            .get("error")
+            .and_then(Json::as_str)
+            .unwrap()
+            .contains("\"threads\" must be at most 256"));
+    }
 
     // A deeply nested body is a clean 400 from the hardened parser, not a
     // stack overflow in the worker.

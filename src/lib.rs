@@ -35,8 +35,6 @@ pub use gopher_serve;
 
 /// The names almost every consumer needs.
 pub mod prelude {
-    #[allow(deprecated)]
-    pub use gopher_core::Gopher;
     pub use gopher_core::{
         ExplainRequest, ExplainResponse, ExplainSession, GopherConfig, SessionBuilder, UpdateConfig,
     };

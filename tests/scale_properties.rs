@@ -8,10 +8,11 @@
 //!   UTF-8, blank lines, `\r\n`, missing trailing newline) at chunk sizes
 //!   down to one byte must produce bit-identical datasets *and* errors to
 //!   the buffered reference path.
-//! * **Sampled-support prefilter** — sweeps with the prefilter on are
-//!   bit-identical to sweeps with it off (candidates, coverages, supports,
-//!   stats counts) at 1 and 4 threads, and an audit of the structural
-//!   artifact proves every skipped merge was genuinely below `min_count`.
+//! * **Staged sweep** — sweeps at 1 and 4 threads (inline merge resolution
+//!   vs the shared parallel structural pass) are bit-identical (candidates,
+//!   coverages, supports, stats counts, coverage-cache traffic), and an
+//!   audit of the structural artifact proves every recorded merge count is
+//!   the exact intersection size, with a coverage iff it meets `min_count`.
 //! * **SIMD kernels** — the dispatched `and`/`and_count` agree with the
 //!   public scalar reference kernels at universe lengths straddling both
 //!   the 64-bit word and the 256-bit lane boundaries. (CI additionally runs
@@ -26,12 +27,12 @@ use gopher_data::Dataset;
 use gopher_patterns::lattice::{compute_candidates_multi, LatticeConfig};
 use gopher_patterns::{
     generate_predicates, BitSet, Candidate, CoverageCache, PredicateIndex, PredicateTable, ScoreFn,
-    SearchStats, SupportPrefilter, SweepStructure,
+    SearchStats, SweepStructure,
 };
 use gopher_prng::Rng;
 use proptest::prelude::*;
 use std::io::Cursor;
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 
 // ------------------------------------------------------------ streaming CSV
 
@@ -121,7 +122,7 @@ proptest! {
     }
 }
 
-// ------------------------------------------------------- prefilter identity
+// ---------------------------------------------------- staged sweep identity
 
 /// One shared 300-row table (pattern structure is a pure function of the
 /// data; each case builds fresh caches and artifacts).
@@ -145,15 +146,13 @@ fn make_scorer(labels: &[u8]) -> impl FnMut(&BitSet) -> f64 + '_ {
     }
 }
 
-/// Runs one staged sweep with fresh cache/index/artifact, optionally with a
-/// prefilter attached, returning the results plus the artifact and the
-/// coverage cache for auditing.
+/// Runs one staged sweep with fresh cache/index/artifact, returning the
+/// results plus the artifact and the coverage cache for auditing.
 fn run_sweep(
     table: &PredicateTable,
     config: &LatticeConfig,
     labels: &[u8],
     threads: usize,
-    prefilter: Option<Arc<SupportPrefilter>>,
 ) -> (
     Vec<(Vec<Candidate>, SearchStats)>,
     SweepStructure,
@@ -161,7 +160,7 @@ fn run_sweep(
 ) {
     let cache = CoverageCache::new();
     let index = PredicateIndex::build(table, &cache);
-    let structure = SweepStructure::build_with_prefilter(&index, config, prefilter);
+    let structure = SweepStructure::build(&index, config);
     let mut scorer = make_scorer(labels);
     let mut scorers: Vec<ScoreFn<'_>> = vec![Box::new(&mut scorer)];
     let results =
@@ -180,18 +179,17 @@ fn exact_count(table: &PredicateTable, ids: &[u16]) -> usize {
 }
 
 proptest! {
-    /// The acceptance property: sweeps with the sampled-support prefilter
-    /// on are bit-identical to sweeps with it off — candidates, coverage
+    /// The staged sweep is thread-count invariant — candidates, coverage
     /// bits, supports, responsibilities, stats counts, even coverage-cache
-    /// traffic — at 1 and 4 threads; and every merge the prefilter skipped
-    /// was genuinely below `min_count` (admissibility, audited against
+    /// traffic match between inline resolution (1 thread) and the shared
+    /// parallel structural pass (4 threads); and every merge record either
+    /// path leaves in the artifact carries the exact intersection count,
+    /// with a coverage iff that count meets `min_count` (audited against
     /// from-scratch intersections).
     #[test]
-    fn prefilter_is_bit_identical_and_admissible(
+    fn staged_sweep_is_thread_invariant_and_exact(
         support_choice in 0usize..3,
         depth in 2usize..4,
-        sample_rows in 1usize..512,
-        threads_bit in 0usize..2,
     ) {
         let (d, table) = table();
         let labels = d.labels();
@@ -201,54 +199,48 @@ proptest! {
             prune_by_responsibility: false,
             max_level_candidates: None,
         };
-        let threads = [1, 4][threads_bit];
 
-        let (plain, _, plain_cache) = run_sweep(table, &config, labels, threads, None);
-        let pf = Arc::new(SupportPrefilter::new(table.n_rows(), sample_rows));
-        let (filtered, structure, filtered_cache) =
-            run_sweep(table, &config, labels, threads, Some(Arc::clone(&pf)));
+        let (serial, serial_structure, serial_cache) = run_sweep(table, &config, labels, 1);
+        let (parallel, parallel_structure, parallel_cache) =
+            run_sweep(table, &config, labels, 4);
 
         // Bit-identity of results and stats.
-        prop_assert_eq!(plain.len(), filtered.len());
-        for ((pc, ps), (fc, fs)) in plain.iter().zip(&filtered) {
-            prop_assert_eq!(pc.len(), fc.len());
-            for (a, b) in pc.iter().zip(fc) {
+        prop_assert_eq!(serial.len(), parallel.len());
+        for ((sc, ss), (pc, ps)) in serial.iter().zip(&parallel) {
+            prop_assert_eq!(sc.len(), pc.len());
+            for (a, b) in sc.iter().zip(pc) {
                 prop_assert_eq!(a.pattern.ids(), b.pattern.ids());
                 prop_assert_eq!(a.coverage.as_ref(), b.coverage.as_ref());
                 prop_assert_eq!(a.support.to_bits(), b.support.to_bits());
                 prop_assert_eq!(a.responsibility.to_bits(), b.responsibility.to_bits());
                 prop_assert_eq!(a.interestingness.to_bits(), b.interestingness.to_bits());
             }
-            prop_assert_eq!(ps.total_scored, fs.total_scored);
-            prop_assert_eq!(ps.levels.len(), fs.levels.len());
-            for (pl, fl) in ps.levels.iter().zip(&fs.levels) {
+            prop_assert_eq!(ss.total_scored, ps.total_scored);
+            prop_assert_eq!(ss.levels.len(), ps.levels.len());
+            for (sl, pl) in ss.levels.iter().zip(&ps.levels) {
                 prop_assert_eq!(
-                    (pl.level, pl.generated, pl.kept),
-                    (fl.level, fl.generated, fl.kept)
+                    (sl.level, sl.generated, sl.kept),
+                    (pl.level, pl.generated, pl.kept)
                 );
             }
         }
-        // Failed merges never touch the coverage cache and supported ones
-        // are never skipped, so even cache traffic matches exactly.
-        prop_assert_eq!(plain_cache.stats().hits, filtered_cache.stats().hits);
-        prop_assert_eq!(plain_cache.stats().misses, filtered_cache.stats().misses);
+        // Failed merges never touch the coverage cache and each supported
+        // one is materialized once, so even cache traffic matches exactly.
+        prop_assert_eq!(serial_cache.stats().hits, parallel_cache.stats().hits);
+        prop_assert_eq!(serial_cache.stats().misses, parallel_cache.stats().misses);
 
-        // Admissibility audit: every skip was a genuinely unsupported merge.
-        let mut inexact = 0u64;
-        for (ids, record) in structure.merge_snapshot() {
-            let truth = exact_count(table, &ids);
-            if record.exact {
-                prop_assert_eq!(record.count, truth);
-            } else {
-                inexact += 1;
-                prop_assert!(record.count >= truth, "bound under-counts {:?}", ids);
-                prop_assert!(record.count < structure.min_count());
-                prop_assert!(truth < structure.min_count(), "supported merge skipped!");
-                prop_assert!(record.coverage.is_none());
+        // Exactness audit of every resolved merge, on both paths.
+        for structure in [&serial_structure, &parallel_structure] {
+            for (ids, record) in structure.merge_snapshot() {
+                let truth = exact_count(table, &ids);
+                prop_assert!(record.count == truth, "inexact count for {:?}", ids);
+                prop_assert!(
+                    record.coverage.is_some() == (truth >= structure.min_count()),
+                    "coverage presence wrong for {:?}",
+                    ids
+                );
             }
         }
-        prop_assert_eq!(pf.skips(), inexact);
-        prop_assert!(pf.probes() >= pf.skips());
     }
 }
 

@@ -1,7 +1,6 @@
 //! Session-reuse contract: one warm [`ExplainSession`] must answer exactly
-//! like cold [`Gopher`] runs — the caches are invisible in the results.
-
-#![allow(deprecated)] // the legacy façade is the comparison baseline here
+//! like cold sessions that each answer one request — the caches are
+//! invisible in the results.
 
 use gopher_core::ExplanationReport;
 use gopher_repro::prelude::*;
@@ -9,6 +8,15 @@ use gopher_repro::prelude::*;
 fn splits(seed: u64) -> (Dataset, Dataset) {
     let mut rng = Rng::new(seed);
     german(700, seed).train_test_split(0.3, &mut rng)
+}
+
+/// A fresh session built from `config` answering its one request.
+fn cold_report(train: &Dataset, test: &Dataset, config: &GopherConfig) -> ExplanationReport {
+    config
+        .to_session_builder()
+        .fit(|n_cols| LogisticRegression::new(n_cols, 1e-3), train, test)
+        .explain(&config.to_request())
+        .report
 }
 
 fn assert_identical(a: &ExplanationReport, b: &ExplanationReport) {
@@ -37,7 +45,7 @@ fn assert_identical(a: &ExplanationReport, b: &ExplanationReport) {
 }
 
 /// One session answering StatisticalParity then EqualizedOdds-style queries
-/// must produce identical reports to two cold `Gopher` runs.
+/// must produce identical reports to two cold sessions.
 #[test]
 fn warm_session_matches_two_cold_gopher_runs() {
     let (train, test) = splits(301);
@@ -58,17 +66,15 @@ fn warm_session_matches_two_cold_gopher_runs() {
                     .with_ground_truth(true),
             )
             .report;
-        let cold = Gopher::fit(
-            |n_cols| LogisticRegression::new(n_cols, 1e-3),
+        let cold = cold_report(
             &train,
             &test,
-            GopherConfig {
+            &GopherConfig {
                 metric,
                 ground_truth_for_topk: true,
                 ..Default::default()
             },
-        )
-        .explain();
+        );
         assert_identical(&warm, &cold);
     }
 }
@@ -149,16 +155,14 @@ fn estimator_variants_do_not_collide_in_the_cache() {
         "estimators must not share cache slots"
     );
 
-    let cold = Gopher::fit(
-        |n_cols| LogisticRegression::new(n_cols, 1e-3),
+    let cold = cold_report(
         &train,
         &test,
-        GopherConfig {
+        &GopherConfig {
             estimator: Estimator::FirstOrder,
             ground_truth_for_topk: false,
             ..Default::default()
         },
-    )
-    .explain();
+    );
     assert_identical(&fo, &cold);
 }
